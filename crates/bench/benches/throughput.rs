@@ -415,83 +415,109 @@ fn profile_stages(
     bd
 }
 
-/// Per-kernel scalar-vs-active-level speedups on hot-path-sized buffers,
-/// isolating the dispatch levels from pipeline overhead (and from the
-/// scalar references' own autovectorization — the ratio reported here is
-/// forced-scalar dispatch over native dispatch for the same kernel entry
-/// points the pipeline calls).
+/// Per-kernel A/B: forced-scalar against native dispatch for the kernel
+/// entry points the pipeline calls, isolated from pipeline overhead. Each
+/// row records both times per call and their ratio (scalar over native).
+///
+/// The plane kernels, the single butterfly stage and the split combine
+/// run at n = 4096. The other rows use the sizes the pipeline runs: the
+/// 64-point radix-2 of one 128-sample STFT frame, and the 4096-point
+/// radix-2 and `cmul_in_place` of the 1500-point Bluestein transform
+/// behind the band-energy spectrum of a 3000-sample chunk; `fft_real_*`
+/// are those two whole real transforms on a held planner.
 fn kernel_ab() -> JsonObject {
+    use dhf_dsp::fft::FftPlanner;
     use dhf_dsp::Complex;
+    use std::f64::consts::{PI, TAU};
     let n = 4096usize;
-    let iters = 2000;
     let a: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 97) as f64 / 97.0 - 0.5).collect();
     let b: Vec<f64> = (0..n).map(|i| ((i * 53 + 29) % 89) as f64 / 89.0 - 0.5).collect();
     let cplx: Vec<Complex> = a.iter().zip(&b).map(|(&r, &i)| Complex::new(r, i)).collect();
-    let tw: Vec<Complex> =
-        (0..n / 2).map(|k| Complex::cis(-std::f64::consts::TAU * k as f64 / n as f64)).collect();
+    // Unit-modulus factors keep repeated in-place products away from
+    // overflow and denormals.
+    let unit: Vec<Complex> = (0..n).map(|k| Complex::cis(-TAU * k as f64 / n as f64)).collect();
 
     // Best-of-3 wall clock of `f` run `iters` times under each dispatch
-    // mode; returns scalar-time / native-time.
-    let ratio = |mut f: Box<dyn FnMut()>| -> f64 {
+    // mode, as microseconds per call.
+    let ab = |iters: usize, f: &mut dyn FnMut()| -> JsonObject {
         let mut best = [f64::INFINITY; 2];
-        for (mode, slot) in [(true, 0usize), (false, 1usize)] {
-            simd::force_scalar(mode);
+        for (slot, scalar) in [true, false].into_iter().enumerate() {
+            simd::force_scalar(scalar);
             for _ in 0..3 {
                 let sw = Stopwatch::start();
                 for _ in 0..iters {
                     f();
                 }
-                best[slot] = best[slot].min(sw.secs());
+                best[slot] = best[slot].min(sw.secs() * 1e6 / iters as f64);
             }
         }
         simd::force_scalar(false);
-        best[0] / best[1]
+        JsonObject::new()
+            .num("scalar_us", best[0])
+            .num("native_us", best[1])
+            .num("speedup", best[0] / best[1])
+    };
+    // Every butterfly stage of a `len`-point radix-2 transform (the bit
+    // reversal is a permutation, not a kernel), with the stage twiddles
+    // `FftPlanner` caches.
+    let radix2 = |len: usize, iters: usize| {
+        let stages: Vec<Vec<Complex>> = (1..=len.trailing_zeros())
+            .map(|s| {
+                (0..1usize << (s - 1))
+                    .map(|k| Complex::cis(-TAU * k as f64 / (1u64 << s) as f64))
+                    .collect()
+            })
+            .collect();
+        let mut buf = cplx[..len].to_vec();
+        ab(iters, &mut || {
+            for tw in &stages {
+                simd::radix2_stage(black_box(&mut buf), tw, tw.len(), false);
+            }
+        })
+    };
+    let rfft = |len: usize, iters: usize| {
+        let mut planner = FftPlanner::new();
+        let mut half = Vec::new();
+        ab(iters, &mut || planner.rfft_into(black_box(&a[..len]), black_box(&mut half)))
     };
 
-    let (aa, bb) = (a.clone(), b.clone());
-    let r_mul = {
-        let mut out = vec![0.0f64; n];
-        ratio(Box::new(move || {
-            simd::mul_add_in_place(black_box(&mut out), black_box(&aa), black_box(&bb))
-        }))
-    };
-    let (aa, bb) = (a.clone(), b.clone());
-    let r_mag = {
-        let mut out = vec![0.0f64; n];
-        ratio(Box::new(move || {
-            simd::magnitude_into(black_box(&mut out), black_box(&aa), black_box(&bb))
-        }))
-    };
-    let aa = a.clone();
-    let r_sum = ratio(Box::new(move || {
-        black_box(simd::sum_sq(black_box(&aa)));
-    }));
-    let (mut buf, tw2) = (cplx.clone(), tw.clone());
-    let r_fly = ratio(Box::new(move || {
-        simd::radix2_stage(black_box(&mut buf), black_box(&tw2), n / 2, false)
-    }));
-    let z = cplx.clone();
-    let twc: Vec<Complex> =
-        (0..=n).map(|k| Complex::cis(-std::f64::consts::PI * k as f64 / n as f64)).collect();
-    let r_comb = {
-        let mut re = vec![0.0f64; n + 1];
-        let mut im = vec![0.0f64; n + 1];
-        ratio(Box::new(move || {
-            simd::real_split_combine_soa(
-                black_box(&z),
-                black_box(&twc),
-                black_box(&mut re),
-                black_box(&mut im),
-            )
-        }))
-    };
+    let mut out = vec![0.0f64; n];
+    let r_mul =
+        ab(2000, &mut || simd::mul_add_in_place(black_box(&mut out), black_box(&a), black_box(&b)));
+    let r_mag =
+        ab(2000, &mut || simd::magnitude_into(black_box(&mut out), black_box(&a), black_box(&b)));
+    let r_sum = ab(2000, &mut || {
+        black_box(simd::sum_sq(black_box(&a)));
+    });
+    let mut buf = cplx.clone();
+    let r_fly = ab(2000, &mut || {
+        simd::radix2_stage(black_box(&mut buf), black_box(&unit[..n / 2]), n / 2, false)
+    });
+    let twc: Vec<Complex> = (0..=n).map(|k| Complex::cis(-PI * k as f64 / n as f64)).collect();
+    let (mut re, mut im) = (vec![0.0f64; n + 1], vec![0.0f64; n + 1]);
+    let r_comb = ab(2000, &mut || {
+        simd::real_split_combine_soa(
+            black_box(&cplx),
+            black_box(&twc),
+            black_box(&mut re),
+            black_box(&mut im),
+        )
+    });
+    let mut buf = cplx.clone();
+    let r_cmul =
+        ab(2000, &mut || simd::cmul_in_place(black_box(&mut buf), black_box(&unit), false));
 
     JsonObject::new()
-        .num("mul_add_in_place", r_mul)
-        .num("magnitude_into", r_mag)
-        .num("sum_sq", r_sum)
-        .num("radix2_stage", r_fly)
-        .num("real_split_combine_soa", r_comb)
+        .obj("mul_add_in_place", r_mul)
+        .obj("magnitude_into", r_mag)
+        .obj("sum_sq", r_sum)
+        .obj("radix2_stage", r_fly)
+        .obj("real_split_combine_soa", r_comb)
+        .obj("radix2_64", radix2(64, 50_000))
+        .obj("radix2_4096", radix2(4096, 200))
+        .obj("cmul_in_place_4096", r_cmul)
+        .obj("fft_real_128", rfft(128, 50_000))
+        .obj("fft_real_3000", rfft(3000, 100))
 }
 
 fn config() -> Criterion {

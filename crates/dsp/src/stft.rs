@@ -312,12 +312,6 @@ impl Spectrogram {
         }
     }
 
-    /// Total energy `Σ|X|²` of the spectrogram, accumulated in the
-    /// deterministic lane order of [`simd::sum_sq2`].
-    pub fn energy(&self) -> f64 {
-        simd::sum_sq2(&self.re, &self.im)
-    }
-
     /// Rebuilds every coefficient in place from bin-major magnitude and
     /// phase images (no allocation).
     ///
@@ -762,24 +756,5 @@ mod tests {
             assert_eq!(scaled.at(3, m), Complex::ZERO);
             assert_eq!(scaled.at(4, m), s.at(4, m));
         }
-    }
-
-    #[test]
-    fn energy_is_nonnegative_and_additive_in_masking() {
-        let cfg = StftConfig::new(64, 16, 16.0).unwrap();
-        let x = chirp(512, 16.0);
-        let s = stft(&x, &cfg).unwrap();
-        let full = s.energy();
-        let half_mask: Vec<f64> =
-            (0..s.bins() * s.frames()).map(|i| if i % 2 == 0 { 1.0 } else { 0.0 }).collect();
-        let inv_mask: Vec<f64> = half_mask.iter().map(|&m| 1.0 - m).collect();
-        let masked = |mask: &[f64]| {
-            let mut sp = s.clone();
-            sp.apply_mask_in_place(mask);
-            sp.energy()
-        };
-        let e1 = masked(&half_mask);
-        let e2 = masked(&inv_mask);
-        assert!((e1 + e2 - full).abs() < 1e-6 * full.max(1.0));
     }
 }

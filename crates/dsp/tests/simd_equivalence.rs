@@ -1,9 +1,10 @@
 //! The SIMD bit-identity invariant (property tests): every kernel in
 //! [`dhf_dsp::simd`] must return **bit-identical** results at every
-//! dispatch level the host can run — scalar, SSE2, AVX2, NEON — for any
-//! input values and any length, including every tail residue
-//! `len % 4 ∈ {0, 1, 2, 3}` (the widest lane is four `f64`s, so the
-//! residue decides how much remainder handling runs).
+//! dispatch level the host can run — the scalar source compiled for the
+//! baseline, and on x86_64 its AVX2 twins plus the hand-written AVX2
+//! complex kernels — for any input values and any length, including
+//! every tail residue `len % 4 ∈ {0, 1, 2, 3}` (the widest lane is four
+//! `f64`s, so the residue decides how much remainder handling runs).
 //!
 //! This is the contract that lets runtime dispatch (and the
 //! `DHF_FORCE_SCALAR` escape hatch) change *which instructions execute*
@@ -15,31 +16,30 @@ use dhf_dsp::Complex;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// The dispatch override is process-global, so tests that pin it must not
+/// The dispatch switch is process-global, so tests that pin it must not
 /// interleave (results would still agree — that is the very invariant —
 /// but each test's claimed level coverage would not be trustworthy).
 static DISPATCH: Mutex<()> = Mutex::new(());
 
-/// Levels this host can actually run: an override above the detected
-/// capability is clamped, so requesting each level and reading back the
-/// active one enumerates exactly the runnable set.
+/// Levels this host can run: the scalar level, then the detected level
+/// when it is wider.
 fn available_levels() -> Vec<Level> {
-    let mut out = Vec::new();
-    for l in [Level::Scalar, Level::Sse2, Level::Avx2, Level::Neon] {
-        simd::set_dispatch_override(Some(l));
-        if simd::active_level() == l {
-            out.push(l);
-        }
-    }
-    simd::set_dispatch_override(None);
-    out
+    simd::force_scalar(false);
+    let mut levels = vec![Level::Scalar, simd::active_level()];
+    levels.dedup();
+    levels
+}
+
+/// Pins dispatch to `level`, one of [`available_levels`].
+fn pin(level: Level) {
+    simd::force_scalar(level == Level::Scalar);
 }
 
 /// Restores auto dispatch even if an assertion unwinds mid-test.
 struct AutoDispatch;
 impl Drop for AutoDispatch {
     fn drop(&mut self) {
-        simd::set_dispatch_override(None);
+        simd::force_scalar(false);
     }
 }
 
@@ -114,10 +114,9 @@ proptest! {
         let mut want_mag = vec![0.0; n];
         simd::scalar::magnitude_into(&mut want_mag, &a, &b);
         let want_sum = simd::scalar::sum_sq(&a);
-        let want_sum2 = simd::scalar::sum_sq2(&a, &b);
 
         for level in available_levels() {
-            simd::set_dispatch_override(Some(level));
+            pin(level);
             let mut out = vec![0.0; n];
             simd::mul_into(&mut out, &a, &b);
             prop_assert_eq!(bits(&out), bits(&want_mul), "mul_into at {} (n {})", level, n);
@@ -149,10 +148,6 @@ proptest! {
             prop_assert_eq!(
                 simd::sum_sq(&a).to_bits(), want_sum.to_bits(),
                 "sum_sq at {} (n {})", level, n
-            );
-            prop_assert_eq!(
-                simd::sum_sq2(&a, &b).to_bits(), want_sum2.to_bits(),
-                "sum_sq2 at {} (n {})", level, n
             );
         }
     }
@@ -194,7 +189,7 @@ proptest! {
         simd::scalar::real_split_combine_aos(&z, &split_tw, &mut want_aos);
 
         for level in available_levels() {
-            simd::set_dispatch_override(Some(level));
+            pin(level);
             let mut buf = buf0.clone();
             simd::radix2_stage(&mut buf, &tw, half, inverse);
             prop_assert_eq!(
@@ -237,7 +232,7 @@ proptest! {
 
         let mut reference: Option<(Vec<u64>, Vec<u64>)> = None;
         for level in available_levels() {
-            simd::set_dispatch_override(Some(level));
+            pin(level);
             let spec = dhf_dsp::fft::fft_real(&signal);
             let back = dhf_dsp::fft::ifft_real(&spec, n);
             let got = (cbits(&spec), bits(&back));
@@ -247,6 +242,54 @@ proptest! {
                     prop_assert_eq!(&got.0, &want.0, "rfft spectrum at {} (n {})", level, n);
                     prop_assert_eq!(&got.1, &want.1, "irfft round trip at {} (n {})", level, n);
                 }
+            }
+        }
+    }
+}
+
+/// `X[k]` by the per-bin formula with wrapped indices: `z[k % m]`
+/// against `z̄[(m - k) % m]`. The kernels special-case the two wrapping
+/// bins (`k = 0` and `k = m`) and walk the interior mirror without a
+/// modulo; this independent oracle pins that split, which the
+/// cross-level tests above cannot see because they compare against
+/// `simd::scalar` itself.
+fn split_bin_oracle(z: &[Complex], tw: &[Complex], k: usize) -> Complex {
+    let m = z.len();
+    let a = z[k % m];
+    let b = z[(m - k) % m].conj();
+    let ze = (a + b).scale(0.5);
+    let d = a - b;
+    let zo = Complex::new(d.im, -d.re).scale(0.5);
+    ze + tw[k] * zo
+}
+
+#[test]
+fn split_combine_matches_wrapped_index_oracle() {
+    let _guard = DISPATCH.lock().unwrap();
+    let _auto = AutoDispatch;
+    let planes = |re: &[f64], im: &[f64]| -> Vec<u64> {
+        re.iter().zip(im).flat_map(|(r, i)| [r.to_bits(), i.to_bits()]).collect()
+    };
+    for m in 1usize..=65 {
+        for seed in [1u64, 0x5eed, 0xdead_beef] {
+            let z = complex_values(seed ^ m as u64, m);
+            let tw = complex_values(seed.rotate_left(29) ^ m as u64, m + 1);
+            let want: Vec<Complex> = (0..=m).map(|k| split_bin_oracle(&z, &tw, k)).collect();
+            let want = cbits(&want);
+
+            let mut aos = vec![Complex::ZERO; m + 1];
+            let (mut re, mut im) = (vec![0.0; m + 1], vec![0.0; m + 1]);
+            simd::scalar::real_split_combine_aos(&z, &tw, &mut aos);
+            assert_eq!(cbits(&aos), want, "scalar aos (m {m}, seed {seed:#x})");
+            simd::scalar::real_split_combine_soa(&z, &tw, &mut re, &mut im);
+            assert_eq!(planes(&re, &im), want, "scalar soa (m {m}, seed {seed:#x})");
+
+            for level in available_levels() {
+                pin(level);
+                simd::real_split_combine_aos(&z, &tw, &mut aos);
+                assert_eq!(cbits(&aos), want, "aos at {level} (m {m}, seed {seed:#x})");
+                simd::real_split_combine_soa(&z, &tw, &mut re, &mut im);
+                assert_eq!(planes(&re, &im), want, "soa at {level} (m {m}, seed {seed:#x})");
             }
         }
     }

@@ -103,7 +103,7 @@ proptest! {
     /// The cross-mode corollary: a served session pinned to the scalar
     /// SIMD fallback must still be bit-identical to a serial run under
     /// native dispatch. This is the serving-level proof of the kernel
-    /// layer's bit-identity contract (`dhf_dsp::simd`): SSE2/AVX2/NEON
+    /// layer's bit-identity contract (`dhf_dsp::simd`): the AVX2 level
     /// may only change which instructions execute, never the samples —
     /// the same guarantee CI leans on when it re-runs the whole suite
     /// with `DHF_FORCE_SCALAR=1`.

@@ -16,11 +16,6 @@
 //! * [`masking::SpectralMasking`] — harmonic-comb binary masking
 //!   (Gerkmann & Vincent \[3\]), the paper's strongest prior-work
 //!   comparator.
-//! * [`hpss::MedianHpss`] / [`hpss::IterativeHpss`] — harmonic–percussive
-//!   source separation (Fitzgerald; Ono et al.): not a Table-2 comparator
-//!   but the transient-rejection *pre-filter* for motion artifacts, and
-//!   the offline reference for the streaming front filter in
-//!   `dhf_stream`.
 //!
 //! All methods implement the [`Separator`] trait and receive the same
 //! auxiliary information DHF gets: the sources' fundamental-frequency
@@ -51,7 +46,6 @@
 
 pub mod assignment;
 pub mod emd;
-pub mod hpss;
 pub mod masking;
 pub mod nmf;
 pub mod repet;

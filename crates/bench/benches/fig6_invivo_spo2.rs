@@ -1,8 +1,9 @@
 //! **Figure 6** — in-vivo fetal SpO2 estimation on the simulated TFO
 //! recordings (the substitution for the pregnant-ewe dataset; see
-//! DESIGN.md): per sheep, the correlation between SpO2 estimated from the
-//! separated fetal signal and the blood-draw SaO2 ground truth, comparing
-//! spectral masking (state of the art, [18]) against DHF.
+//! `dhf_synth::invivo`): per sheep, the correlation between SpO2
+//! estimated from the separated fetal signal and the blood-draw SaO2
+//! ground truth, comparing spectral masking (state of the art, [18])
+//! against DHF.
 //!
 //! Expected shape: DHF's correlation is far higher on both sheep
 //! (the paper reports 0.24→0.81 and 0.44→0.92).

@@ -314,8 +314,7 @@ fn warm_start_ab() -> JsonObject {
     // interactive latency, so the A/B always measures that configuration
     // (one source keeps the absolute cost bounded — per-fit cost scales
     // linearly in sources and the ratio is per fit).
-    let mut dhf = DhfConfig::default();
-    dhf.inpaint.warm = None; // pin cold regardless of DHF_WARM_START
+    let dhf = DhfConfig::default();
     let full_iters = dhf.inpaint.iterations;
     let cold_cfg = StreamingConfig::new(chunk, overlap, dhf).expect("cold config");
     let warm_cfg = cold_cfg.clone().with_warm_start();

@@ -57,13 +57,7 @@ impl Default for InpaintConfig {
             net: NetConfig::default(),
             keep_visible: true,
             seed: 0x0D1F,
-            // Opt-in via the environment so CI can run the whole tier-1
-            // suite on the warm path without per-test plumbing.
-            warm: if std::env::var("DHF_WARM_START").as_deref() == Ok("1") {
-                Some(WarmFitParams::default())
-            } else {
-                None
-            },
+            warm: None,
         }
     }
 }
@@ -123,35 +117,6 @@ pub enum WarmEvent {
     Cold,
     /// No fit ran (non-deep-prior method, or an all-zero image).
     Bypass,
-}
-
-/// In-paints a magnitude image under a visibility mask
-/// (`mask_visible[i] == 1.0` means trusted).
-///
-/// # Errors
-///
-/// Returns [`DhfError::Net`] if the network cannot be built for the
-/// (padded) image extents.
-///
-/// # Panics
-///
-/// Panics if `magnitude.len() != bins * frames` or the mask size differs.
-pub fn inpaint_magnitude(
-    magnitude: &[f64],
-    bins: usize,
-    frames: usize,
-    mask_visible: &[f32],
-    cfg: &InpaintConfig,
-) -> Result<InpaintOutcome, DhfError> {
-    assert_eq!(magnitude.len(), bins * frames, "magnitude image size");
-    assert_eq!(mask_visible.len(), bins * frames, "mask image size");
-    match cfg.method {
-        InpaintMethod::HarmonicInterp => Ok(InpaintOutcome {
-            magnitude: harmonic_interp(magnitude, bins, frames, mask_visible),
-            report: None,
-        }),
-        InpaintMethod::DeepPrior => deep_prior(magnitude, bins, frames, mask_visible, cfg),
-    }
 }
 
 /// Deterministic per-bin linear interpolation across hidden frames.
@@ -300,31 +265,17 @@ fn overlay_output(
     out
 }
 
-/// Deep-prior in-painting: normalize, pad the time axis to the pooling
-/// schedule, train the masked objective, denormalize and crop.
-fn deep_prior(
-    magnitude: &[f64],
-    bins: usize,
-    frames: usize,
-    mask_visible: &[f32],
-    cfg: &InpaintConfig,
-) -> Result<InpaintOutcome, DhfError> {
-    let Some(setup) = fit_setup(magnitude, bins, frames, mask_visible, cfg) else {
-        return Ok(InpaintOutcome { magnitude: magnitude.to_vec(), report: None });
-    };
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut net = DeepPriorNet::new(&setup.net_cfg, bins, setup.padded, &mut rng)?;
-    let report = net.fit(&setup.target, &setup.mask, cfg.iterations, cfg.lr);
-    let out =
-        overlay_output(magnitude, bins, frames, mask_visible, cfg, setup.peak, &net.output_image());
-    Ok(InpaintOutcome { magnitude: out, report: Some(report) })
-}
-
-/// Warm-capable variant of [`inpaint_magnitude`]: when
-/// [`InpaintConfig::warm`] is set and `slot` holds a compatible trained
-/// net (or a seeded snapshot), the fit resumes from those weights with a
-/// bounded fine-tune; otherwise it falls back to the cold path and leaves
-/// the freshly trained net resident for the next call.
+/// In-paints a magnitude image under a visibility mask
+/// (`mask_visible[i] == 1.0` means trusted).
+///
+/// The deep prior normalizes the image, pads the time axis to the pooling
+/// schedule, trains the masked objective, then denormalizes and crops.
+/// When [`InpaintConfig::warm`] is set and `slot` holds a compatible
+/// trained net (or a seeded snapshot), the fit resumes from those weights
+/// with a bounded fine-tune; otherwise it fits cold and leaves the freshly
+/// trained net resident for the next call. With `warm` unset the slot is
+/// cleared before and after the fit, so every call fits cold and nothing
+/// stays resident.
 ///
 /// Compatibility tolerates frame-count wobble: the fit may pad up to
 /// [`WARM_PAD_SLACK_FRAMES`] extra time frames beyond the minimum to land
@@ -332,17 +283,18 @@ fn deep_prior(
 /// lengths of a drifting stream still warm-start. A chunk that *outgrows*
 /// the resident net (or drifts past the slack) falls back to cold.
 ///
-/// The cold path taken through this entry is bit-identical to
-/// [`inpaint_magnitude`]: same seed derivation, same fit budget.
+/// A cold fit is bit-identical with warm starts on or off: an empty slot
+/// keeps the minimal padding and the net is built from the same seed.
 ///
 /// # Errors
 ///
-/// Same conditions as [`inpaint_magnitude`].
+/// Returns [`DhfError::Net`] if the network cannot be built for the
+/// (padded) image extents.
 ///
 /// # Panics
 ///
 /// Panics if `magnitude.len() != bins * frames` or the mask size differs.
-pub fn inpaint_magnitude_warm(
+pub fn inpaint_magnitude(
     magnitude: &[f64],
     bins: usize,
     frames: usize,
@@ -361,14 +313,10 @@ pub fn inpaint_magnitude_warm(
             WarmEvent::Bypass,
         )),
         InpaintMethod::DeepPrior => {
-            let Some(warm_params) = cfg.warm else {
-                // Warm starts disabled: keep nothing resident.
+            if cfg.warm.is_none() {
+                // Warm starts disabled: adopt nothing left over.
                 slot.clear();
-                return deep_prior(magnitude, bins, frames, mask_visible, cfg).map(|o| {
-                    let ev = if o.report.is_some() { WarmEvent::Cold } else { WarmEvent::Bypass };
-                    (o, ev)
-                });
-            };
+            }
             let Some(mut setup) = fit_setup(magnitude, bins, frames, mask_visible, cfg) else {
                 return Ok((
                     InpaintOutcome { magnitude: magnitude.to_vec(), report: None },
@@ -378,7 +326,7 @@ pub fn inpaint_magnitude_warm(
             // Pad-slack scan: prefer the extent whose architecture matches
             // the resident net, else one matching a seeded snapshot, else
             // keep the minimum padding (which also keeps the slot-empty
-            // cold fit bit-identical to the plain entry point).
+            // cold fit bit-identical with warm starts on or off).
             let td = cfg.net.time_divisor();
             let resident_fp = slot.net.as_ref().map(|n| n.weight_fingerprint());
             let pending_fp = slot.pending.as_ref().map(|s| s.fingerprint());
@@ -417,10 +365,11 @@ pub fn inpaint_magnitude_warm(
                 slot.net = Some(net);
             }
             let net = slot.net.as_mut().expect("slot holds a net here");
-            let report = if event == WarmEvent::Warm {
-                net.fit_warm(&setup.target, &setup.mask, &warm_params)
-            } else {
-                net.fit(&setup.target, &setup.mask, cfg.iterations, cfg.lr)
+            let report = match cfg.warm {
+                Some(params) if event == WarmEvent::Warm => {
+                    net.fit_warm(&setup.target, &setup.mask, &params)
+                }
+                _ => net.fit(&setup.target, &setup.mask, cfg.iterations, cfg.lr),
             };
             let out = overlay_output(
                 magnitude,
@@ -431,6 +380,10 @@ pub fn inpaint_magnitude_warm(
                 setup.peak,
                 &net.output_image(),
             );
+            if cfg.warm.is_none() {
+                // Keep nothing resident.
+                slot.clear();
+            }
             Ok((InpaintOutcome { magnitude: out, report: Some(report) }, event))
         }
     }
@@ -476,12 +429,21 @@ mod tests {
         }
     }
 
+    /// One in-paint through a fresh slot.
+    fn inpaint(
+        mag: &[f64],
+        bins: usize,
+        frames: usize,
+        mask: &[f32],
+        cfg: &InpaintConfig,
+    ) -> InpaintOutcome {
+        inpaint_magnitude(mag, bins, frames, mask, cfg, &mut WarmSlot::default()).unwrap().0
+    }
+
     #[test]
     fn harmonic_interp_bridges_gap_exactly_for_constant_rows() {
         let (mag, bins, frames, mask) = ridge_case();
-        let out =
-            inpaint_magnitude(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::HarmonicInterp))
-                .unwrap();
+        let out = inpaint(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::HarmonicInterp));
         assert!(out.report.is_none());
         for m in 5..8 {
             assert!((out.magnitude[4 * frames + m] - 0.9).abs() < 1e-9);
@@ -496,9 +458,7 @@ mod tests {
             mask[2 * frames + m] = 0.0;
             mag[2 * frames + m] = 0.7;
         }
-        let out =
-            inpaint_magnitude(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::HarmonicInterp))
-                .unwrap();
+        let out = inpaint(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::HarmonicInterp));
         for m in 0..frames {
             assert_eq!(out.magnitude[2 * frames + m], 0.0);
         }
@@ -508,7 +468,7 @@ mod tests {
     fn deep_prior_keeps_visible_cells_verbatim() {
         let (mag, bins, frames, mask) = ridge_case();
         let cfg = InpaintConfig { iterations: 10, ..tiny_cfg(InpaintMethod::DeepPrior) };
-        let out = inpaint_magnitude(&mag, bins, frames, &mask, &cfg).unwrap();
+        let out = inpaint(&mag, bins, frames, &mask, &cfg);
         for b in 0..bins {
             for m in 0..frames {
                 if mask[b * frames + m] > 0.5 {
@@ -522,8 +482,7 @@ mod tests {
     #[test]
     fn deep_prior_reconstructs_hidden_ridge_above_background() {
         let (mag, bins, frames, mask) = ridge_case();
-        let out = inpaint_magnitude(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::DeepPrior))
-            .unwrap();
+        let out = inpaint(&mag, bins, frames, &mask, &tiny_cfg(InpaintMethod::DeepPrior));
         for m in 5..8 {
             let ridge = out.magnitude[4 * frames + m];
             let bg = out.magnitude[10 * frames + m];
@@ -540,7 +499,7 @@ mod tests {
         let mag = vec![0.2f64; bins * frames];
         let mask = vec![1.0f32; bins * frames];
         let cfg = InpaintConfig { iterations: 3, ..tiny_cfg(InpaintMethod::DeepPrior) };
-        let out = inpaint_magnitude(&mag, bins, frames, &mask, &cfg).unwrap();
+        let out = inpaint(&mag, bins, frames, &mask, &cfg);
         assert_eq!(out.magnitude.len(), bins * frames);
     }
 
@@ -548,33 +507,31 @@ mod tests {
     fn zero_image_passes_through() {
         let mag = vec![0.0f64; 32];
         let mask = vec![1.0f32; 32];
-        let out =
-            inpaint_magnitude(&mag, 4, 8, &mask, &tiny_cfg(InpaintMethod::DeepPrior)).unwrap();
+        let out = inpaint(&mag, 4, 8, &mask, &tiny_cfg(InpaintMethod::DeepPrior));
         assert_eq!(out.magnitude, mag);
     }
 
     #[test]
-    fn warm_entry_cold_path_matches_plain_inpaint_bitwise() {
+    fn cold_fit_is_bitwise_identical_with_warm_on_or_off() {
         let (mag, bins, frames, mask) = ridge_case();
         let cfg = InpaintConfig { iterations: 40, ..tiny_cfg(InpaintMethod::DeepPrior) };
-        let plain = inpaint_magnitude(&mag, bins, frames, &mask, &cfg).unwrap();
 
-        // Warm disabled: identical result, nothing kept resident.
+        // Warm off: a cold fit that keeps nothing resident.
         let mut slot = WarmSlot::default();
-        let (off, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
+        let (off, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
         assert!(!slot.is_warm());
-        assert_eq!(off, plain);
 
-        // Warm enabled but slot empty: the first fit is cold and bitwise
-        // identical to the plain path, and the net stays resident.
+        // Warm on with an empty slot: the same cold fit, bit for bit, and
+        // the net stays resident.
         let warm_cfg = InpaintConfig { warm: Some(WarmFitParams::default()), ..cfg };
         let mut slot = WarmSlot::default();
-        let (first, ev) =
-            inpaint_magnitude_warm(&mag, bins, frames, &mask, &warm_cfg, &mut slot).unwrap();
+        let (on, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &warm_cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
         assert!(slot.is_warm());
-        assert_eq!(first, plain);
+        let bits = |o: &InpaintOutcome| o.magnitude.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&off), bits(&on));
+        assert_eq!(off.report, on.report);
     }
 
     #[test]
@@ -587,13 +544,12 @@ mod tests {
             ..tiny_cfg(InpaintMethod::DeepPrior)
         };
         let mut slot = WarmSlot::default();
-        let (_, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
+        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
 
         // "Next chunk": slightly attenuated image, same geometry.
         let next: Vec<f64> = mag.iter().map(|&v| v * 0.97).collect();
-        let (out, ev) =
-            inpaint_magnitude_warm(&next, bins, frames, &mask, &cfg, &mut slot).unwrap();
+        let (out, ev) = inpaint_magnitude(&next, bins, frames, &mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
         let rep = out.report.unwrap();
         assert!(rep.iterations <= warm_params.max_iterations);
@@ -608,7 +564,7 @@ mod tests {
             ..tiny_cfg(InpaintMethod::DeepPrior)
         };
         let mut slot = WarmSlot::default();
-        let (_, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
+        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
 
         // One frame fewer still pads to the same extent: the resident
@@ -616,8 +572,7 @@ mod tests {
         let near_mag = &mag[..bins * (frames - 1)];
         let near_mask: Vec<f32> = mask[..bins * (frames - 1)].to_vec();
         let (_, ev) =
-            inpaint_magnitude_warm(near_mag, bins, frames - 1, &near_mask, &cfg, &mut slot)
-                .unwrap();
+            inpaint_magnitude(near_mag, bins, frames - 1, &near_mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
 
         // Shrinking past a padding boundary stays warm too: the pad-slack
@@ -626,8 +581,7 @@ mod tests {
         let short_mag = &mag[..bins * (frames - 4)];
         let short_mask: Vec<f32> = mask[..bins * (frames - 4)].to_vec();
         let (_, ev) =
-            inpaint_magnitude_warm(short_mag, bins, frames - 4, &short_mask, &cfg, &mut slot)
-                .unwrap();
+            inpaint_magnitude(short_mag, bins, frames - 4, &short_mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
 
         // A chunk that outgrows the resident net cannot fit it → cold.
@@ -635,8 +589,7 @@ mod tests {
         let long_mag = vec![0.2f64; bins * long_frames];
         let long_mask = vec![1.0f32; bins * long_frames];
         let (_, ev) =
-            inpaint_magnitude_warm(&long_mag, bins, long_frames, &long_mask, &cfg, &mut slot)
-                .unwrap();
+            inpaint_magnitude(&long_mag, bins, long_frames, &long_mask, &cfg, &mut slot).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
     }
 
@@ -649,7 +602,7 @@ mod tests {
             ..tiny_cfg(InpaintMethod::DeepPrior)
         };
         let mut donor = WarmSlot::default();
-        let (_, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut donor).unwrap();
+        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut donor).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
         let state = donor.capture().unwrap();
 
@@ -657,7 +610,7 @@ mod tests {
         // serving runtime's cross-session hand-off.
         let mut fresh = WarmSlot::default();
         fresh.seed(state);
-        let (_, ev) = inpaint_magnitude_warm(&mag, bins, frames, &mask, &cfg, &mut fresh).unwrap();
+        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut fresh).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
 
         // A slightly shorter chunk re-pads onto the snapshot's extent and
@@ -667,8 +620,7 @@ mod tests {
         let short_mag = &mag[..bins * (frames - 4)];
         let short_mask: Vec<f32> = mask[..bins * (frames - 4)].to_vec();
         let (_, ev) =
-            inpaint_magnitude_warm(short_mag, bins, frames - 4, &short_mask, &cfg, &mut near)
-                .unwrap();
+            inpaint_magnitude(short_mag, bins, frames - 4, &short_mask, &cfg, &mut near).unwrap();
         assert_eq!(ev, WarmEvent::Warm);
 
         // …but a chunk the snapshot's net cannot hold is discarded and
@@ -679,8 +631,7 @@ mod tests {
         let long_mag = vec![0.2f64; bins * long_frames];
         let long_mask = vec![1.0f32; bins * long_frames];
         let (_, ev) =
-            inpaint_magnitude_warm(&long_mag, bins, long_frames, &long_mask, &cfg, &mut wrong)
-                .unwrap();
+            inpaint_magnitude(&long_mag, bins, long_frames, &long_mask, &cfg, &mut wrong).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
     }
 }

@@ -1,7 +1,7 @@
 //! The multi-round DHF separation pipeline (paper Fig. 1).
 
 use crate::align::{PatternAligner, UnwarpedSignal};
-use crate::inpaint::{inpaint_magnitude_warm, InpaintConfig, InpaintMethod, WarmEvent, WarmSlot};
+use crate::inpaint::{inpaint_magnitude, InpaintConfig, InpaintMethod, WarmEvent, WarmSlot};
 use crate::mask::{target_comb_gain, HarmonicMask};
 use crate::phase::{interpolate_masked_phase_into, reconstruct_hidden_cells};
 use crate::DhfError;
@@ -47,7 +47,10 @@ pub struct DhfConfig {
     /// In-painting settings.
     pub inpaint: InpaintConfig,
     /// Restrict the output spectrogram to the target's harmonic comb
-    /// before resynthesis (documented design choice; see DESIGN.md).
+    /// before resynthesis. The unwarped target fundamental is locked at
+    /// 1 Hz, so the target's energy lies on its harmonic rows; the comb
+    /// drops what the image holds between them (interferer leakage and
+    /// noise).
     pub comb_output: bool,
     /// Number of target harmonics kept by the comb (additionally capped
     /// so the comb never reaches beyond [`DhfConfig::max_source_hz`] in
@@ -601,7 +604,7 @@ impl RoundContext {
             self.warm_slots.push(WarmSlot::default());
         }
         let fit_span = dhf_obs::span(dhf_obs::Stage::NnFit);
-        let (outcome, warm_event) = inpaint_magnitude_warm(
+        let (outcome, warm_event) = inpaint_magnitude(
             &self.magnitude,
             bins,
             frames,

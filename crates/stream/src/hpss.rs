@@ -8,13 +8,17 @@
 //! harmonic-only resynthesis makes a cheap transient-rejection pre-filter
 //! for the separation chunks.
 //!
-//! [`FrontFilter`] runs the same algorithm as the offline
-//! `dhf_baselines::hpss::MedianHpss` reference, restructured for the
-//! streaming hot loop: one [`StftEngine`] with cached FFT plans, the SoA
-//! [`Spectrogram`] workspace, [`dhf_dsp::simd`] kernels for magnitudes and
-//! mask application (so `DHF_FORCE_SCALAR` bit-identity holds through the
+//! [`FrontFilter`] is the workspace's only median-mask HPSS (the soft-mask
+//! formulation of Fitzgerald), built for the streaming hot loop: one
+//! [`StftEngine`] with cached FFT plans, the SoA [`Spectrogram`]
+//! workspace, [`dhf_dsp::simd`] kernels for magnitudes and mask
+//! application (so `DHF_FORCE_SCALAR` bit-identity holds through the
 //! filter), and reusable buffers everywhere — steady state allocates
-//! nothing after the first chunk.
+//! nothing after the first chunk. It keeps no state between calls, so one
+//! [`FrontFilter::filter`] call over a whole recording gives the offline
+//! harmonic component. `tests/hpss_properties.rs` pins its output bit for
+//! bit to an oracle rebuilt from the definition with the free STFT
+//! functions and gather-and-sort medians.
 
 use crate::StreamError;
 use dhf_dsp::median::median_filter_2d_into;

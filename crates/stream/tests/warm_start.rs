@@ -40,8 +40,7 @@ fn make_mix(fs: f64, n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<Vec<f64>>) 
     (mix, s1, s2, vec![track1, track2])
 }
 
-/// Deep-prior configuration with warm starting pinned ON (independent of
-/// the `DHF_WARM_START` environment).
+/// Deep-prior configuration with warm starting pinned ON.
 fn warm_cfg(chunk_len: usize, overlap: usize) -> StreamingConfig {
     StreamingConfig::new(chunk_len, overlap, DhfConfig::fast()).unwrap().with_warm_start()
 }

@@ -20,8 +20,10 @@
 //!   activity schedule) composable with any recording above.
 //!
 //! Waveform templates substitute for data we cannot access (sheep
-//! respiration shapes, MIMIC-IV pulses) — see `DESIGN.md` for why the
-//! substitution preserves the evaluated behaviour.
+//! respiration shapes, MIMIC-IV pulses). The substitution preserves the
+//! evaluated behaviour because the separation methods consume only the
+//! harmonic structure — a fundamental plus a few decaying harmonics —
+//! which the parametric shapes reproduce.
 //!
 //! # Example
 //!

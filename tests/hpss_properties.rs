@@ -1,27 +1,24 @@
-//! Property tests for the HPSS stage, pinning the three contracts the
+//! Property tests for the HPSS stage, pinning the two contracts the
 //! transient-rejection path rests on:
 //!
 //! 1. The shared 2-D median filter (`dhf_dsp::median`) is **bit-identical**
 //!    to the obvious gather-and-sort reference across shapes and kernel
 //!    widths, including the shrinking edge-clamped windows and even-width
 //!    forcing.
-//! 2. The soft median masks (`dhf_baselines::hpss::MedianHpss`) are
-//!    complementary — `H + P ≤ 1`, with equality up to the `1e-10`
-//!    stabilizer wherever the spectrogram has energy — so the split
-//!    conserves the reconstruction: `harmonic + percussive ≈ istft(stft(x))`.
-//! 3. The streaming front filter (`dhf_stream::FrontFilter`) is the same
-//!    algorithm as the offline reference: on a whole-signal chunk its
-//!    output matches `MedianHpss`'s harmonic component in the interior,
-//!    away from the windowing edges and the streaming zero-pad tail
-//!    (mirroring the interior-equivalence style of
-//!    `crates/stream/tests/equivalence.rs`).
+//! 2. The streaming front filter (`dhf_stream::FrontFilter`), the
+//!    workspace's only median-mask HPSS, is **bit-identical** over its
+//!    whole output to a test-local oracle that rebuilds the harmonic
+//!    resynthesis from the definition. The filter keeps no state between
+//!    calls, so one `filter` call over a whole recording is the offline
+//!    split, and this oracle is its reference.
 
-use dhf::baselines::hpss::MedianHpss;
 use dhf::dsp::median::median_filter_2d;
 use dhf::dsp::stft::{istft, stft, StftConfig};
 use dhf::stream::{FrontFilter, HpssFrontConfig};
 use proptest::prelude::*;
 use std::f64::consts::TAU;
+
+const FS: f64 = 100.0;
 
 /// Gather-and-sort median: the reference `median_filter_2d` must equal.
 fn naive_median(win: &mut [f64]) -> f64 {
@@ -34,21 +31,64 @@ fn naive_median(win: &mut [f64]) -> f64 {
     }
 }
 
+/// Median-mask HPSS from the definition: subtract the mean, zero-pad to
+/// full-frame coverage, take the free STFT's bin-major magnitude image,
+/// median it along time within each bin row (harmonic enhancement) and
+/// along frequency within each frame (percussive enhancement), apply the
+/// soft harmonic gain `eh / (eh + ep + 1e-10)`, invert, trim and restore
+/// the mean. Inputs shorter than one window pass through.
+fn oracle(x: &[f64], cfg: &HpssFrontConfig) -> Vec<f64> {
+    let (w, hop) = (cfg.window_len, cfg.hop);
+    if x.len() < w {
+        return x.to_vec();
+    }
+    let mean = x.iter().sum::<f64>() / x.len() as f64;
+    let covering_frames = (x.len() - w).div_ceil(hop) + 1;
+    let mut padded: Vec<f64> = x.iter().map(|&v| v - mean).collect();
+    padded.resize((covering_frames - 1) * hop + w, 0.0);
+    let mut spec = stft(&padded, &StftConfig::new(w, hop, FS).unwrap()).unwrap();
+    let (bins, frames) = (spec.bins(), spec.frames());
+    let mag = spec.magnitude();
+
+    // Even kernel widths are forced to the next odd.
+    let (ht, hf) = ((cfg.kernel_time | 1) / 2, (cfg.kernel_freq | 1) / 2);
+    let mut gain = vec![0.0; bins * frames];
+    let mut win = Vec::new();
+    for b in 0..bins {
+        for m in 0..frames {
+            win.clear();
+            win.extend(
+                (m.saturating_sub(ht)..(m + ht + 1).min(frames)).map(|t| mag[b * frames + t]),
+            );
+            let h = naive_median(&mut win);
+            win.clear();
+            win.extend((b.saturating_sub(hf)..(b + hf + 1).min(bins)).map(|f| mag[f * frames + m]));
+            let p = naive_median(&mut win);
+            let eh = (h * cfg.margin_h).powf(cfg.power);
+            let ep = (p * cfg.margin_p).powf(cfg.power);
+            gain[b * frames + m] = eh / (eh + ep + 1e-10);
+        }
+    }
+    spec.apply_mask_in_place(&gain);
+    istft(&spec)[..x.len()].iter().map(|&v| v + mean).collect()
+}
+
 /// The shared click-train-over-tones fixture: sustained tones at `f1`/`f2`
-/// plus an exponentially decaying click every `click_every` samples.
+/// plus an exponentially decaying click every `click_every` samples, on a
+/// DC level `dc`.
 fn clicky_tones(
     n: usize,
-    fs: f64,
     f1: f64,
     f2: f64,
     a2: f64,
     click_every: usize,
     click_amp: f64,
+    dc: f64,
 ) -> Vec<f64> {
     let mut x: Vec<f64> = (0..n)
         .map(|i| {
-            let t = i as f64 / fs;
-            (TAU * f1 * t).sin() + a2 * (TAU * f2 * t).sin()
+            let t = i as f64 / FS;
+            dc + (TAU * f1 * t).sin() + a2 * (TAU * f2 * t).sin()
         })
         .collect();
     let mut i = click_every;
@@ -59,6 +99,27 @@ fn clicky_tones(
         i += click_every;
     }
     x
+}
+
+/// Fails on the first sample whose bits differ from the oracle's.
+fn assert_matches_oracle(x: &[f64], cfg: &HpssFrontConfig) -> Result<(), TestCaseError> {
+    let mut filter = FrontFilter::new(cfg.clone(), FS).unwrap();
+    let got = filter.filter(x);
+    let want = oracle(x, cfg);
+    prop_assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        prop_assert_eq!(g.to_bits(), w.to_bits(), "sample {} of {}: {} != {}", i, x.len(), g, w);
+    }
+    Ok(())
+}
+
+#[test]
+fn front_filter_matches_oracle_at_default_config() {
+    let cfg = HpssFrontConfig::default();
+    for n in [100, 127, 128, 129, 1873, 3000, 4800] {
+        let x = clicky_tones(n, 1.3, 4.1, 0.4, 150, 2.5, 5.0);
+        assert_matches_oracle(&x, &cfg).unwrap();
+    }
 }
 
 proptest! {
@@ -95,116 +156,41 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn masks_are_complementary(
-        bins in 1usize..7,
-        frames in 1usize..7,
-        kt in 1usize..6,
-        kf in 1usize..6,
+    fn front_filter_is_bit_identical_to_oracle(
+        window_len in 16usize..200,
+        hop_div in 1usize..5,
+        kernel_time in 1usize..24,
+        kernel_freq in 1usize..24,
         power in 0.5f64..4.0,
-        values in prop::collection::vec(0.1f64..10.0, 36),
+        // Negative draws clamp to a zero margin, a quarter of the cases.
+        margin_h in -1.0f64..3.0,
+        margin_p in -1.0f64..3.0,
+        dc in -5.0f64..5.0,
+        // Log-uniform lengths of 54..3197 samples: about one case in seven
+        // is shorter than its window and must pass through.
+        log_len in 4.0f64..8.07,
+        f1 in 0.8f64..3.0,
+        f2 in 3.5f64..8.0,
+        a2 in 0.1f64..1.0,
+        click_every in 60usize..260,
+        click_amp in 0.5f64..3.0,
     ) {
-        let mag = &values[..bins * frames];
-        let hpss = MedianHpss {
-            kernel_time: kt,
-            kernel_freq: kf,
+        let cfg = HpssFrontConfig {
+            window_len,
+            hop: window_len / hop_div,
+            kernel_time,
+            kernel_freq,
             power,
-            ..MedianHpss::default()
+            margin_h: margin_h.max(0.0),
+            margin_p: margin_p.max(0.0),
         };
-        let (mh, mp) = hpss.masks(mag, bins, frames);
-        for i in 0..mag.len() {
-            prop_assert!((0.0..=1.0).contains(&mh[i]), "mask_h[{}] = {}", i, mh[i]);
-            prop_assert!((0.0..=1.0).contains(&mp[i]), "mask_p[{}] = {}", i, mp[i]);
-            let sum = mh[i] + mp[i];
-            // Every magnitude is ≥ 0.1, so every median is too, and the
-            // enhanced images dwarf the 1e-10 stabilizer: the pair must
-            // sum to one essentially exactly, never beyond it.
-            prop_assert!(
-                (1.0 - 1e-5..=1.0 + 1e-12).contains(&sum),
-                "mask sum at {} is {} (H {}, P {})",
-                i, sum, mh[i], mp[i]
-            );
-        }
-    }
-
-    /// Complementarity through the synthesis path: the two masked
-    /// resyntheses reassemble the unmasked reconstruction.
-    #[test]
-    fn split_components_conserve_the_reconstruction(
-        f1 in 0.8f64..3.0,
-        f2 in 3.5f64..8.0,
-        a2 in 0.1f64..1.0,
-        click_every in 120usize..260,
-        click_amp in 0.5f64..3.0,
-        n in 900usize..1400,
-    ) {
-        let fs = 100.0;
-        let x = clicky_tones(n, fs, f1, f2, a2, click_every, click_amp);
-        let hpss = MedianHpss { window_s: 1.28, hop_s: 0.32, ..MedianHpss::default() };
-        let parts = hpss.split(&x, fs).unwrap();
-
-        let cfg = StftConfig::new(128, 32, fs).unwrap();
-        let recon = istft(&stft(&x, &cfg).unwrap());
-        prop_assert_eq!(parts.harmonic.len(), recon.len());
-        let rms = (recon.iter().map(|v| v * v).sum::<f64>() / recon.len() as f64).sqrt();
-        for (i, &r) in recon.iter().enumerate() {
-            let sum = parts.harmonic[i] + parts.percussive[i];
-            prop_assert!(
-                (sum - r).abs() <= 1e-6 * rms.max(1.0),
-                "H+P diverges from the reconstruction at {}: {} vs {}",
-                i, sum, r
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_filter_matches_offline_harmonic_interior(
-        f1 in 0.8f64..3.0,
-        f2 in 3.5f64..8.0,
-        a2 in 0.1f64..1.0,
-        click_every in 120usize..260,
-        click_amp in 0.5f64..3.0,
-        n in 2200usize..3000,
-    ) {
-        let fs = 100.0;
-        let mut x = clicky_tones(n, fs, f1, f2, a2, click_every, click_amp);
-        // Zero the mean so the streaming filter's mean-restore path and
-        // the mean-naive offline reference see the same spectrogram.
-        let mean = x.iter().sum::<f64>() / n as f64;
-        for v in &mut x {
-            *v -= mean;
-        }
-
-        let fcfg = HpssFrontConfig::default();
-        let mut filter = FrontFilter::new(fcfg.clone(), fs).unwrap();
-        let got = filter.filter(&x).to_vec();
-        prop_assert_eq!(got.len(), n);
-
-        let offline = MedianHpss {
-            window_s: fcfg.window_len as f64 / fs,
-            hop_s: fcfg.hop as f64 / fs,
-            kernel_time: fcfg.kernel_time,
-            kernel_freq: fcfg.kernel_freq,
-            power: fcfg.power,
-            margin_h: fcfg.margin_h,
-            margin_p: fcfg.margin_p,
-        };
-        let want = offline.split(&x, fs).unwrap().harmonic;
-
-        // Interior: past one analysis window plus the reach of the time
-        // median (the streaming zero-pad tail feeds extra frames into the
-        // last kernel_time/2 medians, and istft edge normalization covers
-        // one window at each end).
-        let skip = 2 * fcfg.window_len + (fcfg.kernel_time / 2 + 1) * fcfg.hop;
-        prop_assert!(n > 2 * skip, "fixture too short for the interior");
-        let rms = (x.iter().map(|v| v * v).sum::<f64>() / n as f64).sqrt();
-        for i in skip..n - skip {
-            prop_assert!(
-                (got[i] - want[i]).abs() <= 1e-6 * rms.max(1.0),
-                "streaming/offline divergence at {}: {} vs {}",
-                i, got[i], want[i]
-            );
-        }
+        let x = clicky_tones(log_len.exp() as usize, f1, f2, a2, click_every, click_amp, dc);
+        assert_matches_oracle(&x, &cfg)?;
     }
 }

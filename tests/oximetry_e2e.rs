@@ -181,8 +181,7 @@ fn warm_started_deep_prior_trend_matches_cold_within_gap() {
     let n = rec.len();
 
     let run = |warm: bool| -> (Vec<Spo2Sample>, u64, u64) {
-        let mut dhf = DhfConfig::fast();
-        dhf.inpaint.warm = None; // pin cold regardless of DHF_WARM_START
+        let dhf = DhfConfig::fast();
         let mut scfg = StreamingConfig::new(3000, 600, dhf).unwrap();
         if warm {
             scfg = scfg.with_warm_start();

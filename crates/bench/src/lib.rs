@@ -67,15 +67,12 @@ pub fn seed() -> u64 {
 /// The paper's evaluation band-limit: `[0, 12] Hz` (§4.2).
 pub const EVAL_BAND_HZ: f64 = 12.0;
 
-/// The DHF configuration used by all benches (paper defaults, bench-sized
-/// iteration budget). Extra knobs for ablation probes:
-/// `DHF_KEEP_VISIBLE=0`, `DHF_COMB_BW`, `DHF_MASK_BW`.
+/// The DHF configuration used by all benches: paper defaults
+/// ([`DhfConfig::fast`] under `DHF_FAST=1`) with the bench-sized iteration
+/// budget of [`dhf_iterations`].
 pub fn bench_dhf_config() -> DhfConfig {
     let mut cfg = if fast_mode() { DhfConfig::fast() } else { DhfConfig::default() };
     cfg.inpaint.iterations = dhf_iterations();
-    cfg.inpaint.keep_visible = std::env::var("DHF_KEEP_VISIBLE").map(|v| v != "0").unwrap_or(true);
-    cfg.comb_bandwidth_hz = env_f64("DHF_COMB_BW", cfg.comb_bandwidth_hz);
-    cfg.mask_bandwidth_hz = env_f64("DHF_MASK_BW", cfg.mask_bandwidth_hz);
     cfg
 }
 

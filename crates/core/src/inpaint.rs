@@ -23,7 +23,9 @@ pub enum InpaintMethod {
     HarmonicInterp,
 }
 
-/// In-painting configuration.
+/// In-painting configuration. Both strategies in-paint only the concealed
+/// cells: every visible cell keeps its original magnitude (the paper's
+/// wording).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InpaintConfig {
     /// Strategy.
@@ -35,10 +37,6 @@ pub struct InpaintConfig {
     /// Network hyper-parameters; the pipeline overrides the time dilation
     /// per round (paper §4.2 picks 13 or 15 by masking situation).
     pub net: NetConfig,
-    /// Keep the original magnitude at visible cells (in-paint only the
-    /// concealed ones). Matches the paper's wording; turning it off uses
-    /// the network output everywhere (stronger denoising).
-    pub keep_visible: bool,
     /// Seed for the network init and noise code.
     pub seed: u64,
     /// Warm-start budget. `Some` lets callers that keep a [`WarmSlot`]
@@ -55,7 +53,6 @@ impl Default for InpaintConfig {
             iterations: FitParams::FULL.iterations,
             lr: FitParams::FULL.lr,
             net: NetConfig::default(),
-            keep_visible: true,
             seed: 0x0D1F,
             warm: None,
         }
@@ -239,14 +236,13 @@ fn repad(setup: &mut FitSetup, bins: usize, new_padded: usize) {
     setup.padded = new_padded;
 }
 
-/// Denormalizes the fitted image and overlays visible cells per
-/// `keep_visible`.
+/// Denormalizes the fitted image at the hidden cells; visible cells keep
+/// their original magnitude.
 fn overlay_output(
     magnitude: &[f64],
     bins: usize,
     frames: usize,
     mask_visible: &[f32],
-    cfg: &InpaintConfig,
     peak: f64,
     img: &Tensor,
 ) -> Vec<f64> {
@@ -255,7 +251,7 @@ fn overlay_output(
     for b in 0..bins {
         for m in 0..frames {
             let visible = mask_visible[b * frames + m] > 0.5;
-            out[b * frames + m] = if cfg.keep_visible && visible {
+            out[b * frames + m] = if visible {
                 magnitude[b * frames + m]
             } else {
                 img.data()[b * padded + m] as f64 * peak
@@ -376,7 +372,6 @@ pub fn inpaint_magnitude(
                 bins,
                 frames,
                 mask_visible,
-                cfg,
                 setup.peak,
                 &net.output_image(),
             );
@@ -423,7 +418,6 @@ mod tests {
                 conv: ConvKind::Harmonic { harmonics: 3, kt: 3, anchor: 1, dil_t: 2 },
                 ..NetConfig::default()
             },
-            keep_visible: true,
             seed: 7,
             warm: None,
         }

@@ -10,8 +10,9 @@
 //!    target becomes strictly periodic at 1 Hz (Eqs. 3–7).
 //! 2. **STFT** of the unwarped signal; the target now occupies constant
 //!    harmonic rows.
-//! 3. **Masking** ([`mask`]) — conceal every significant harmonic of the
-//!    *other* sources (their tracks warp into time-varying ridges).
+//! 3. **Masking** ([`mask`]) — conceal every harmonic of the *other*
+//!    sources that carries energy in band (their tracks warp into
+//!    time-varying ridges).
 //! 4. **Magnitude in-painting** ([`inpaint`]) — fit the SpAc LU-Net deep
 //!    prior to the visible cells only; its structural bias fills the
 //!    hidden cells with target-consistent values (Eq. 9).
@@ -61,8 +62,7 @@ pub use align::{PatternAligner, UnwarpedSignal};
 pub use inpaint::{InpaintConfig, InpaintMethod, WarmEvent, WarmSlot};
 pub use mask::HarmonicMask;
 pub use pipeline::{
-    separate, validate_tracks, DhfConfig, RoundContext, RoundReport, SeparationOrder,
-    SeparationResult,
+    separate, validate_tracks, DhfConfig, RoundContext, RoundReport, SeparationResult,
 };
 
 /// Errors from the DHF pipeline.

@@ -21,8 +21,8 @@ pub struct HarmonicMask {
 
 impl HarmonicMask {
     /// An empty mask (zero bins and frames) — the placeholder a reusable
-    /// round context starts from; the first
-    /// [`HarmonicMask::rebuild_significant`] overwrites shape and data.
+    /// round context starts from; the first [`HarmonicMask::rebuild`]
+    /// overwrites shape and data.
     pub fn empty() -> Self {
         HarmonicMask { bins: 0, frames: 0, visible: Vec::new() }
     }
@@ -37,72 +37,40 @@ impl HarmonicMask {
     ///   (`frames` values per source).
     /// * `harmonics` — how many multiples of each interferer to conceal.
     /// * `bandwidth_hz` — half-width of the concealed band in unwarped Hz.
+    /// * `magnitude` — the round's bin-major `bins × frames` magnitude
+    ///   image.
+    ///
+    /// A harmonic is concealed only when it carries energy in band: it
+    /// stays visible if no frame puts its ridge at or below Nyquist, or if
+    /// the magnitude along its whole in-band ridge is zero. A ridge just
+    /// above Nyquist therefore hides nothing, even where its band would
+    /// reach below it.
     pub fn build(
         cfg: &StftConfig,
         frames: usize,
         interferer_ratios: &[Vec<f64>],
         harmonics: usize,
         bandwidth_hz: f64,
-    ) -> Self {
-        Self::build_significant(cfg, frames, interferer_ratios, harmonics, bandwidth_hz, None, 0.0)
-    }
-
-    /// Like [`HarmonicMask::build`], but conceals only the *significant*
-    /// harmonics of each interferer (the paper's wording): a harmonic's
-    /// band is masked only if the mean magnitude along its predicted
-    /// ridge exceeds `factor ×` the image median. Pass the bin-major
-    /// magnitude image of the round's spectrogram.
-    ///
-    /// Blindly masking negligible high harmonics would hide target cells
-    /// for no benefit — exactly what hurts when a weak target shares the
-    /// spectrum with a low-fundamental interferer whose comb is dense.
-    pub fn build_significant(
-        cfg: &StftConfig,
-        frames: usize,
-        interferer_ratios: &[Vec<f64>],
-        harmonics: usize,
-        bandwidth_hz: f64,
-        magnitude: Option<&[f64]>,
-        factor: f64,
+        magnitude: &[f64],
     ) -> Self {
         let mut mask = HarmonicMask::empty();
-        mask.rebuild_significant(
-            cfg,
-            frames,
-            interferer_ratios,
-            harmonics,
-            bandwidth_hz,
-            magnitude,
-            factor,
-        );
+        mask.rebuild(cfg, frames, interferer_ratios, harmonics, bandwidth_hz, magnitude);
         mask
     }
 
-    /// In-place variant of [`HarmonicMask::build_significant`]: overwrites
-    /// this mask's shape and visibility, reusing its buffer — the per-round
-    /// entry point of the pipeline's reusable round context.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rebuild_significant(
+    /// In-place variant of [`HarmonicMask::build`]: overwrites this mask's
+    /// shape and visibility, reusing its buffer — the per-round entry
+    /// point of the pipeline's reusable round context.
+    pub fn rebuild(
         &mut self,
         cfg: &StftConfig,
         frames: usize,
         interferer_ratios: &[Vec<f64>],
         harmonics: usize,
         bandwidth_hz: f64,
-        magnitude: Option<&[f64]>,
-        factor: f64,
+        magnitude: &[f64],
     ) {
         let bins = cfg.bins();
-        let median_mag = magnitude.map(|mag| {
-            let mut v = mag.to_vec();
-            let mid = v.len() / 2;
-            // Median by selection: same element the full sort would put at
-            // the midpoint, in O(n).
-            v.select_nth_unstable_by(mid, |a, b| {
-                a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            v[mid]
-        });
         self.bins = bins;
         self.frames = frames;
         self.visible.clear();
@@ -110,25 +78,20 @@ impl HarmonicMask {
         let visible = &mut self.visible;
         for ratios in interferer_ratios {
             for k in 1..=harmonics {
-                // Significance test along the whole ridge of harmonic k.
-                if let (Some(mag), Some(median)) = (magnitude, median_mag) {
-                    let mut sum = 0.0f64;
-                    let mut count = 0usize;
-                    for (m, &ratio) in ratios.iter().take(frames).enumerate() {
-                        if ratio <= 0.0 {
-                            continue;
-                        }
-                        let centre = k as f64 * ratio;
-                        if centre > cfg.fs() / 2.0 {
-                            continue;
-                        }
-                        let b = cfg.frequency_to_bin(centre);
-                        sum += mag[b * frames + m];
-                        count += 1;
-                    }
-                    if count == 0 || sum / count as f64 <= factor * median {
+                // Harmonic k stays visible when no frame puts its ridge in
+                // band or the in-band ridge's mean magnitude is zero.
+                let mut sum = 0.0f64;
+                let mut count = 0usize;
+                for (m, &ratio) in ratios.iter().take(frames).enumerate() {
+                    let centre = k as f64 * ratio;
+                    if ratio <= 0.0 || centre > cfg.fs() / 2.0 {
                         continue;
                     }
+                    sum += magnitude[cfg.frequency_to_bin(centre) * frames + m];
+                    count += 1;
+                }
+                if count == 0 || sum / count as f64 <= 0.0 {
+                    continue;
                 }
                 for (m, &ratio) in ratios.iter().take(frames).enumerate() {
                     if ratio <= 0.0 {
@@ -203,9 +166,9 @@ impl HarmonicMask {
 }
 
 /// A comb gain over frequency that keeps only bands around the target's
-/// harmonic rows (`k` unwarped Hz): the optional output restriction the
-/// pipeline applies before resynthesis so that off-comb hallucinations of
-/// the prior cannot leak into the separated signal.
+/// harmonic rows (`k` unwarped Hz): the output restriction the pipeline
+/// applies to full-window rounds before resynthesis so that off-comb
+/// hallucinations of the prior cannot leak into the separated signal.
 pub fn target_comb_gain(cfg: &StftConfig, harmonics: usize, bandwidth_hz: f64) -> Vec<f64> {
     let bins = cfg.bins();
     let mut gain = vec![0.0f64; bins];
@@ -233,13 +196,19 @@ mod tests {
         StftConfig::new(128, 32, 16.0).unwrap()
     }
 
+    /// A uniform non-zero magnitude image: every in-band ridge carries
+    /// energy, so the mask follows the ridges alone.
+    fn lit(cfg: &StftConfig, frames: usize) -> Vec<f64> {
+        vec![1.0; cfg.bins() * frames]
+    }
+
     #[test]
     fn mask_conceals_interferer_ridge() {
         let cfg = cfg();
         let frames = 10;
         // Interferer fixed at ratio 1.5 → ridge at bin 12 (1.5 × 8).
         let ratios = vec![vec![1.5; frames]];
-        let mask = HarmonicMask::build(&cfg, frames, &ratios, 2, 0.1);
+        let mask = HarmonicMask::build(&cfg, frames, &ratios, 2, 0.1, &lit(&cfg, frames));
         for m in 0..frames {
             assert!(!mask.is_visible(12, m), "ridge bin should be hidden");
             assert!(!mask.is_visible(24, m), "2nd harmonic should be hidden");
@@ -255,7 +224,7 @@ mod tests {
         // Interferer sweeps through the target's 2nd harmonic (2.0) at
         // frame 3.
         let ratios = vec![vec![1.7, 1.8, 1.9, 2.0, 2.1, 2.2]];
-        let mask = HarmonicMask::build(&cfg, frames, &ratios, 1, 0.1);
+        let mask = HarmonicMask::build(&cfg, frames, &ratios, 1, 0.1, &lit(&cfg, frames));
         // Target 2nd-harmonic row = bin 16.
         assert!(mask.is_visible(16, 0), "no overlap yet at frame 0");
         assert!(!mask.is_visible(16, 3), "crossover frame must be hidden");
@@ -266,24 +235,58 @@ mod tests {
         let cfg = cfg();
         let frames = 4;
         let ratios = vec![vec![1.5; frames]];
-        let narrow = HarmonicMask::build(&cfg, frames, &ratios, 1, 0.05);
-        let wide = HarmonicMask::build(&cfg, frames, &ratios, 1, 0.4);
+        let mag = lit(&cfg, frames);
+        let narrow = HarmonicMask::build(&cfg, frames, &ratios, 1, 0.05, &mag);
+        let wide = HarmonicMask::build(&cfg, frames, &ratios, 1, 0.4, &mag);
         assert!(wide.hidden_fraction() > narrow.hidden_fraction());
     }
 
     #[test]
     fn no_interferers_means_fully_visible() {
         let cfg = cfg();
-        let mask = HarmonicMask::build(&cfg, 5, &[], 4, 0.2);
+        let mask = HarmonicMask::build(&cfg, 5, &[], 4, 0.2, &lit(&cfg, 5));
         assert_eq!(mask.hidden_fraction(), 0.0);
         assert_eq!(mask.as_f32().iter().filter(|&&v| v == 1.0).count(), cfg.bins() * 5);
+    }
+
+    #[test]
+    fn harmonics_without_in_band_energy_stay_visible() {
+        let cfg = cfg();
+        let frames = 6;
+        let bins = cfg.bins();
+        let ratios = vec![vec![1.5; frames]];
+        let hidden = |ratios: &[Vec<f64>], mag: &[f64]| {
+            HarmonicMask::build(&cfg, frames, ratios, 1, 0.15, mag).hidden_fraction()
+        };
+
+        // An all-zero image hides nothing; the same ridge on a lit image is
+        // hidden.
+        assert_eq!(hidden(&ratios, &vec![0.0; bins * frames]), 0.0);
+        assert!(hidden(&ratios, &lit(&cfg, frames)) > 0.0);
+
+        // A dark ridge in a lit image stays visible while a lit one is
+        // hidden.
+        let mut dark_ridge = lit(&cfg, frames);
+        dark_ridge[12 * frames..13 * frames].fill(0.0);
+        let two = vec![vec![1.5; frames], vec![2.3; frames]];
+        let mask = HarmonicMask::build(&cfg, frames, &two, 1, 0.15, &dark_ridge);
+        for m in 0..frames {
+            assert!(mask.is_visible(12, m), "zero-energy ridge (bin 12) must stay visible");
+            assert!(!mask.is_visible(18, m), "lit ridge (2.3 Hz = bin 18) must be hidden");
+        }
+
+        // A ridge at 8.05 unwarped Hz lies just above the 8 Hz Nyquist: no
+        // frame is in band, so it hides nothing even though its 0.15 Hz band
+        // would reach below Nyquist. Just below Nyquist it is hidden.
+        assert_eq!(hidden(&[vec![8.05; frames]], &lit(&cfg, frames)), 0.0);
+        assert!(hidden(&[vec![7.95; frames]], &lit(&cfg, frames)) > 0.0);
     }
 
     #[test]
     fn hidden_flags_complement_visibility() {
         let cfg = cfg();
         let ratios = vec![vec![1.3; 3]];
-        let mask = HarmonicMask::build(&cfg, 3, &ratios, 2, 0.15);
+        let mask = HarmonicMask::build(&cfg, 3, &ratios, 2, 0.15, &lit(&cfg, 3));
         let hidden = mask.hidden_flags();
         let f32s = mask.as_f32();
         for i in 0..hidden.len() {
@@ -305,81 +308,11 @@ mod tests {
         assert_eq!(gain[0], 0.0);
     }
 
-    /// Magnitude image with a bright ridge along the bin of ratio 1.5
-    /// (bin 12) and a faint background, for significance-threshold tests.
-    fn ridge_magnitude(cfg: &StftConfig, frames: usize) -> Vec<f64> {
-        let bins = cfg.bins();
-        let mut mag = vec![0.01f64; bins * frames];
-        for m in 0..frames {
-            mag[12 * frames + m] = 1.0;
-        }
-        mag
-    }
-
-    #[test]
-    fn zero_threshold_conceals_unconditionally() {
-        let cfg = cfg();
-        let frames = 6;
-        let ratios = vec![vec![1.5; frames]];
-        let mag = ridge_magnitude(&cfg, frames);
-        let thresholded =
-            HarmonicMask::build_significant(&cfg, frames, &ratios, 3, 0.15, Some(&mag), 0.0);
-        let unconditional = HarmonicMask::build(&cfg, frames, &ratios, 3, 0.15);
-        // Factor 0 means every harmonic with any energy along its ridge is
-        // concealed — identical to the unconditional builder.
-        assert_eq!(thresholded, unconditional);
-        assert!(thresholded.hidden_fraction() > 0.0);
-    }
-
-    #[test]
-    fn huge_threshold_hides_nothing() {
-        let cfg = cfg();
-        let frames = 6;
-        let ratios = vec![vec![1.5; frames]];
-        let mag = ridge_magnitude(&cfg, frames);
-        let mask =
-            HarmonicMask::build_significant(&cfg, frames, &ratios, 3, 0.15, Some(&mag), 1e12);
-        assert_eq!(mask.hidden_fraction(), 0.0, "no ridge can clear an absurd threshold");
-    }
-
-    #[test]
-    fn hidden_fraction_is_monotone_non_increasing_in_threshold() {
-        let cfg = cfg();
-        let frames = 8;
-        // Two interferers with harmonics of very different ridge strengths
-        // so successive thresholds peel them off one by one.
-        let ratios = vec![vec![1.5; frames], vec![2.3; frames]];
-        let bins = cfg.bins();
-        let mut mag = vec![0.01f64; bins * frames];
-        for m in 0..frames {
-            mag[12 * frames + m] = 1.0; // 1.5 ridge: strong
-            mag[24 * frames + m] = 0.2; // 1.5 2nd harmonic: medium
-            mag[18 * frames + m] = 0.05; // 2.3 ridge: weak
-        }
-        let mut prev = f64::MAX;
-        for factor in [0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 1e6] {
-            let mask =
-                HarmonicMask::build_significant(&cfg, frames, &ratios, 2, 0.15, Some(&mag), factor);
-            let hf = mask.hidden_fraction();
-            assert!(
-                hf <= prev,
-                "hidden fraction must not grow with the threshold: {hf} after {prev} at {factor}"
-            );
-            prev = hf;
-        }
-        // The sweep actually exercises the monotone path: the extremes
-        // differ.
-        let all = HarmonicMask::build_significant(&cfg, frames, &ratios, 2, 0.15, Some(&mag), 0.0);
-        let none = HarmonicMask::build_significant(&cfg, frames, &ratios, 2, 0.15, Some(&mag), 1e6);
-        assert!(all.hidden_fraction() > none.hidden_fraction());
-        assert_eq!(none.hidden_fraction(), 0.0);
-    }
-
     #[test]
     fn row_visibility_matches_cells() {
         let cfg = cfg();
         let ratios = vec![vec![1.5; 4]];
-        let mask = HarmonicMask::build(&cfg, 4, &ratios, 1, 0.1);
+        let mask = HarmonicMask::build(&cfg, 4, &ratios, 1, 0.1, &lit(&cfg, 4));
         let row = mask.row_visibility(12);
         assert_eq!(row, vec![false; 4]);
         let row8 = mask.row_visibility(8);

@@ -11,49 +11,17 @@ use dhf_dsp::phase::interpolate_cyclic_into;
 use dhf_dsp::stft::Spectrogram;
 use dhf_dsp::Complex;
 
-/// Phase image (bin-major `bins × frames`) with concealed cells
-/// re-interpolated from the visible ones, every bin handled independently
-/// (but conceptually concurrently, as the paper notes).
-pub fn interpolate_masked_phase(spec: &Spectrogram, mask: &HarmonicMask) -> Vec<f64> {
-    let mut out = Vec::new();
-    interpolate_masked_phase_into(spec, mask, &mut out);
-    out
-}
-
-/// Like [`interpolate_masked_phase`], writing the bin-major phase image
-/// into `out` (cleared first). The round context calls this every round
-/// with reused buffers; per-bin phases are gathered from the workspace's
-/// SoA planes and each row's visibility is a borrowed mask slice, so the
-/// only transient state is one frame-length scratch row.
-pub fn interpolate_masked_phase_into(spec: &Spectrogram, mask: &HarmonicMask, out: &mut Vec<f64>) {
-    let bins = spec.bins();
-    let frames = spec.frames();
-    assert_eq!(mask.bins(), bins, "mask/spectrogram bins mismatch");
-    assert_eq!(mask.frames(), frames, "mask/spectrogram frames mismatch");
-    out.clear();
-    out.resize(bins * frames, 0.0);
-    let mut row_phase = vec![0.0f64; frames];
-    let mut fixed = Vec::with_capacity(frames);
-    for b in 0..bins {
-        for (m, rp) in row_phase.iter_mut().enumerate() {
-            *rp = spec.at(b, m).arg();
-        }
-        interpolate_cyclic_into(&row_phase, mask.row_visibility(b), &mut fixed);
-        out[b * frames..(b + 1) * frames].copy_from_slice(&fixed);
-    }
-}
-
 /// Rebuilds *only the concealed cells* of `spec` from an in-painted
 /// magnitude image, interpolating their phases in place.
 ///
-/// This fuses [`interpolate_masked_phase_into`] with the subsequent
-/// magnitude/phase reconstruction for the common case where the in-paint
-/// step kept every visible cell's magnitude (`keep_visible`, or the
-/// deterministic harmonic interpolation, which never touches them): a
-/// visible cell then has unchanged magnitude *and* phase, so re-deriving
-/// it through `atan2`/`sin_cos` would only re-round it. Fully visible bin
-/// rows are skipped outright — no `atan2` per cell — and within a touched
-/// row only the hidden cells are rewritten.
+/// Both in-painters keep every visible cell's magnitude, so a visible cell
+/// has unchanged magnitude *and* phase and keeps its coefficient bit for
+/// bit; only the hidden cells take their magnitude from `magnitude`. Per
+/// bin, the phases of the row are gathered from the workspace's SoA planes
+/// and interpolated through the hidden cells along the row's borrowed
+/// mask slice. Fully visible bin rows are skipped outright — no `atan2`
+/// per cell — and within a touched row only the hidden cells are
+/// rewritten.
 ///
 /// # Panics
 ///
@@ -91,52 +59,60 @@ mod tests {
     use super::*;
     use dhf_dsp::stft::{stft, StftConfig};
 
-    /// Mask whose hidden cells cover given frames across all bins.
+    /// Mask whose hidden cells cover given frames across all bins: one
+    /// interferer at ratio 1 in each hidden frame (none elsewhere) with a
+    /// band wide enough to span the whole frame.
     fn frame_mask(cfg: &StftConfig, frames: usize, hidden: &[usize]) -> HarmonicMask {
-        // Build via a synthetic interferer that sits on every bin in the
-        // hidden frames: easier to construct directly through `build`
-        // with a full-band "ratio sweep" — instead we exploit bandwidth:
-        // one interferer per hidden frame with a huge bandwidth.
         let mut ratios = vec![vec![0.0; frames]];
         for &h in hidden {
             ratios[0][h] = 1.0;
         }
-        HarmonicMask::build(cfg, frames, &ratios, 1, 1e6)
+        HarmonicMask::build(cfg, frames, &ratios, 1, 1e6, &vec![1.0; cfg.bins() * frames])
+    }
+
+    /// 2 Hz tone at 16 Hz: with hop 16 = 1 s, phase advances by an
+    /// integer number of cycles per frame, so the true phase is constant
+    /// across frames.
+    fn tone(n: usize) -> Vec<f64> {
+        (0..n).map(|i| (std::f64::consts::TAU * 2.0 * i as f64 / 16.0).sin()).collect()
     }
 
     #[test]
     fn visible_phases_are_untouched() {
-        let fs = 16.0;
-        let cfg = StftConfig::new(64, 16, fs).unwrap();
-        let x: Vec<f64> =
-            (0..640).map(|i| (std::f64::consts::TAU * 2.0 * i as f64 / fs).sin()).collect();
-        let spec = stft(&x, &cfg).unwrap();
-        let mask = frame_mask(&cfg, spec.frames(), &[]);
-        let phases = interpolate_masked_phase(&spec, &mask);
-        for b in 0..spec.bins() {
-            for m in 0..spec.frames() {
-                assert!((phases[b * spec.frames() + m] - spec.at(b, m).arg()).abs() < 1e-12);
+        let cfg = StftConfig::new(64, 16, 16.0).unwrap();
+        let mut spec = stft(&tone(640), &cfg).unwrap();
+        let before = spec.clone();
+        let (bins, frames) = (spec.bins(), spec.frames());
+        let hidden = frames / 2;
+        let mask = frame_mask(&cfg, frames, &[hidden]);
+        // Junk everywhere: visible cells must not read it.
+        let junk = vec![7.0; bins * frames];
+        reconstruct_hidden_cells(&mut spec, &mask, &junk);
+        for b in 0..bins {
+            for m in 0..frames {
+                let (got, was) = (spec.at(b, m), before.at(b, m));
+                if mask.is_visible(b, m) {
+                    assert_eq!(got.re.to_bits(), was.re.to_bits(), "re at ({b}, {m})");
+                    assert_eq!(got.im.to_bits(), was.im.to_bits(), "im at ({b}, {m})");
+                } else {
+                    assert_eq!(m, hidden);
+                    assert!((got.abs() - 7.0).abs() < 1e-9, "hidden ({b}, {m}): {got:?}");
+                }
             }
         }
     }
 
     #[test]
     fn hidden_phase_of_steady_tone_is_recovered() {
-        let fs = 16.0;
-        let cfg = StftConfig::new(64, 16, fs).unwrap();
-        // 2 Hz tone: with hop 16 = 1 s, phase advances by an integer
-        // number of cycles per frame, so the true phase is constant
-        // across frames — interpolation across a gap must recover it.
-        let x: Vec<f64> =
-            (0..960).map(|i| (std::f64::consts::TAU * 2.0 * i as f64 / fs).sin()).collect();
-        let spec = stft(&x, &cfg).unwrap();
+        let cfg = StftConfig::new(64, 16, 16.0).unwrap();
+        let mut spec = stft(&tone(960), &cfg).unwrap();
         let frames = spec.frames();
-        let hidden = [frames / 2];
-        let mask = frame_mask(&cfg, frames, &hidden);
-        let phases = interpolate_masked_phase(&spec, &mask);
         let bin = cfg.frequency_to_bin(2.0);
         let truth = spec.at(bin, frames / 2).arg();
-        let got = phases[bin * frames + frames / 2];
+        let mask = frame_mask(&cfg, frames, &[frames / 2]);
+        let magnitude = spec.magnitude();
+        reconstruct_hidden_cells(&mut spec, &mask, &magnitude);
+        let got = spec.at(bin, frames / 2).arg();
         let diff = (got - truth).rem_euclid(std::f64::consts::TAU);
         let dist = diff.min(std::f64::consts::TAU - diff);
         assert!(dist < 0.2, "phase error {dist}");
@@ -145,11 +121,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "mismatch")]
     fn shape_mismatch_panics() {
-        let fs = 16.0;
-        let cfg = StftConfig::new(64, 16, fs).unwrap();
+        let cfg = StftConfig::new(64, 16, 16.0).unwrap();
         let x: Vec<f64> = (0..640).map(|i| (i as f64 * 0.1).sin()).collect();
-        let spec = stft(&x, &cfg).unwrap();
+        let mut spec = stft(&x, &cfg).unwrap();
         let bad_mask = frame_mask(&cfg, spec.frames() + 1, &[]);
-        let _ = interpolate_masked_phase(&spec, &bad_mask);
+        let magnitude = spec.magnitude();
+        reconstruct_hidden_cells(&mut spec, &bad_mask, &magnitude);
     }
 }

@@ -3,23 +3,11 @@
 use crate::align::{PatternAligner, UnwarpedSignal};
 use crate::inpaint::{inpaint_magnitude, InpaintConfig, InpaintMethod, WarmEvent, WarmSlot};
 use crate::mask::{target_comb_gain, HarmonicMask};
-use crate::phase::{interpolate_masked_phase_into, reconstruct_hidden_cells};
+use crate::phase::reconstruct_hidden_cells;
 use crate::DhfError;
 use dhf_dsp::stft::{Spectrogram, StftConfig, StftEngine};
 use dhf_dsp::Complex;
 use dhf_nn::{ConvKind, NetConfig, TrainReport, WeightState};
-
-/// Order in which sources are peeled off the mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeparationOrder {
-    /// Strongest first, judged by the mixed signal's spectral energy in
-    /// each source's fundamental band (the paper separates the dominant
-    /// maternal signal before the weak fetal one).
-    #[default]
-    EnergyDescending,
-    /// Exactly the order the tracks were supplied in.
-    AsGiven,
-}
 
 /// Configuration of the full DHF pipeline.
 ///
@@ -39,33 +27,17 @@ pub struct DhfConfig {
     pub mask_harmonics: usize,
     /// Half-width of each concealed band (unwarped Hz).
     pub mask_bandwidth_hz: f64,
-    /// Significance threshold for concealing an interferer harmonic: its
-    /// ridge's mean magnitude must exceed this factor times the
-    /// spectrogram median (0 conceals unconditionally). Matches the
-    /// paper's "all *significant* harmonics of non-targeting sources".
-    pub mask_significance: f64,
     /// In-painting settings.
     pub inpaint: InpaintConfig,
-    /// Restrict the output spectrogram to the target's harmonic comb
-    /// before resynthesis. The unwarped target fundamental is locked at
-    /// 1 Hz, so the target's energy lies on its harmonic rows; the comb
-    /// drops what the image holds between them (interferer leakage and
-    /// noise).
-    pub comb_output: bool,
-    /// Number of target harmonics kept by the comb (additionally capped
-    /// so the comb never reaches beyond [`DhfConfig::max_source_hz`] in
-    /// original-space frequency).
+    /// Number of target harmonics the output comb keeps on full-window
+    /// rounds (additionally capped so the comb never reaches beyond
+    /// [`DhfConfig::max_source_hz`] in original-space frequency).
     pub comb_harmonics: usize,
-    /// Half-width of each comb tooth (unwarped Hz) at the configured
-    /// window; rounds that shrink the window widen the tooth
-    /// proportionally (low-fundamental sources have proportionally wider
-    /// sidebands from amplitude modulation).
+    /// Half-width of each comb tooth (unwarped Hz).
     pub comb_bandwidth_hz: f64,
     /// Highest original-space frequency any source is expected to occupy
     /// (the paper band-limits everything to 12 Hz, §4.2).
     pub max_source_hz: f64,
-    /// Peeling order.
-    pub order: SeparationOrder,
     /// Time dilation used when the hidden fraction is small.
     pub dilation_low: usize,
     /// Time dilation used when the hidden fraction is large (longer
@@ -83,16 +55,10 @@ impl Default for DhfConfig {
             hop: 32,
             mask_harmonics: 5,
             mask_bandwidth_hz: 0.16,
-            // Unconditional masking by default: the significance test is
-            // kept as an ablation knob (it trades weak-source coverage
-            // against target visibility and did not pay off on Table 1).
-            mask_significance: 0.0,
             inpaint: InpaintConfig::default(),
-            comb_output: true,
             comb_harmonics: 7,
             comb_bandwidth_hz: 0.22,
             max_source_hz: 12.0,
-            order: SeparationOrder::EnergyDescending,
             dilation_low: 13,
             dilation_high: 15,
             dilation_switch: 0.35,
@@ -176,35 +142,21 @@ pub struct SeparationResult {
 /// Called up front by [`separate`] (and the streaming engine) so that bad
 /// tracks fail fast with a precise location instead of surfacing from deep
 /// inside a later round, after earlier rounds have already spent their
-/// deep-prior training budget.
-pub fn validate_tracks(mixed_len: usize, f0_tracks: &[Vec<f64>]) -> Result<(), DhfError> {
+/// deep-prior training budget. Tracks may be owned (`&[Vec<f64>]`) or
+/// borrowed windows of longer tracks (`&[&[f64]]`, the streaming engine's
+/// chunks).
+pub fn validate_tracks<T: AsRef<[f64]>>(mixed_len: usize, f0_tracks: &[T]) -> Result<(), DhfError> {
     if f0_tracks.is_empty() {
         return Err(DhfError::MissingTracks);
     }
     for (ti, t) in f0_tracks.iter().enumerate() {
-        validate_one_track(mixed_len, ti, t)?;
-    }
-    Ok(())
-}
-
-/// Slice-based variant of [`validate_tracks`], used by callers that hold
-/// borrowed windows of longer tracks (the streaming engine's chunks).
-pub fn validate_track_refs(mixed_len: usize, f0_tracks: &[&[f64]]) -> Result<(), DhfError> {
-    if f0_tracks.is_empty() {
-        return Err(DhfError::MissingTracks);
-    }
-    for (ti, t) in f0_tracks.iter().enumerate() {
-        validate_one_track(mixed_len, ti, t)?;
-    }
-    Ok(())
-}
-
-fn validate_one_track(mixed_len: usize, ti: usize, t: &[f64]) -> Result<(), DhfError> {
-    if t.len() != mixed_len {
-        return Err(DhfError::TrackLengthMismatch { signal: mixed_len, track: t.len() });
-    }
-    if let Some(sample) = t.iter().position(|&f| !f.is_finite() || f <= 0.0) {
-        return Err(DhfError::NonPositiveTrackValue { track: ti, sample });
+        let t = t.as_ref();
+        if t.len() != mixed_len {
+            return Err(DhfError::TrackLengthMismatch { signal: mixed_len, track: t.len() });
+        }
+        if let Some(sample) = t.iter().position(|&f| !f.is_finite() || f <= 0.0) {
+            return Err(DhfError::NonPositiveTrackValue { track: ti, sample });
+        }
     }
     Ok(())
 }
@@ -232,8 +184,8 @@ pub fn separate(
 
 /// Reusable machinery for DHF rounds: owns the [`StftEngine`] (cached FFT
 /// plans, window and frame scratch), the SoA [`Spectrogram`] workspace,
-/// and every spectrogram-sized work buffer (magnitude/phase images, mask,
-/// loss mask) so that running many rounds — the offline multi-round loop,
+/// and every spectrogram-sized work buffer (magnitude image, mask, loss
+/// mask) so that running many rounds — the offline multi-round loop,
 /// or one round per chunk in the streaming engine — re-allocates nothing
 /// on the hot path. Serving workers keep one context per session, so the
 /// FFT plan cache and the spectral buffers stay warm together.
@@ -247,8 +199,6 @@ pub struct RoundContext {
     spec: Spectrogram,
     /// Reused bin-major magnitude image.
     magnitude: Vec<f64>,
-    /// Reused bin-major phase image.
-    phase: Vec<f64>,
     /// Reused harmonic mask (rebuilt in place each round).
     mask: HarmonicMask,
     /// Reused bin-major `f32` visibility image for the in-painting loss.
@@ -293,7 +243,6 @@ impl RoundContext {
             engine: StftEngine::new(),
             spec: Spectrogram::workspace(),
             magnitude: Vec::new(),
-            phase: Vec::new(),
             mask: HarmonicMask::empty(),
             mask_f32: Vec::new(),
             ratios: Vec::new(),
@@ -416,7 +365,7 @@ impl RoundContext {
     ) -> Result<SeparationResult, DhfError> {
         {
             let _span = dhf_obs::span(dhf_obs::Stage::TrackValidate);
-            validate_track_refs(mixed.len(), f0_tracks)?;
+            validate_tracks(mixed.len(), f0_tracks)?;
         }
 
         let order = self.peel_order(mixed, fs, f0_tracks);
@@ -444,32 +393,29 @@ impl RoundContext {
         Ok(SeparationResult { sources, rounds })
     }
 
-    /// Decides the peeling order, scoring band energies through the
-    /// context's reused half-spectrum scratch (the transforms themselves
-    /// go to the shared thread-local planner — see
-    /// [`RoundContext::band_energy`]).
+    /// Decides the peeling order: strongest first, judged by the mixed
+    /// signal's spectral energy in each source's fundamental band (the
+    /// paper separates the dominant maternal signal before the weak fetal
+    /// one). Band energies are scored through the context's reused
+    /// half-spectrum scratch (the transforms themselves go to the shared
+    /// thread-local planner — see [`RoundContext::band_energy`]).
     fn peel_order(&mut self, mixed: &[f64], fs: f64, f0_tracks: &[&[f64]]) -> Vec<usize> {
+        // One full-signal spectrum serves every track's score: the
+        // transform does not depend on the band, only the scoring range
+        // does, so hoisting it replaces `n` identical (expensive,
+        // Bluestein-sized) real FFTs with one.
         let n = f0_tracks.len();
-        match self.cfg.order {
-            SeparationOrder::AsGiven => (0..n).collect(),
-            SeparationOrder::EnergyDescending => {
-                // One full-signal spectrum serves every track's score: the
-                // transform does not depend on the band, only the scoring
-                // range does, so hoisting it replaces `n` identical
-                // (expensive, Bluestein-sized) real FFTs with one.
-                dhf_dsp::fft::with_thread_planner(|p| p.rfft_into(mixed, &mut self.band_half));
-                let mut scored: Vec<(f64, usize)> = (0..n)
-                    .map(|i| {
-                        let t = f0_tracks[i];
-                        let (lo, hi) =
-                            t.iter().fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
-                        (self.band_energy(mixed.len(), fs, (lo - 0.1).max(0.01), hi + 0.1), i)
-                    })
-                    .collect();
-                scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-                scored.into_iter().map(|(_, i)| i).collect()
-            }
-        }
+        dhf_dsp::fft::with_thread_planner(|p| p.rfft_into(mixed, &mut self.band_half));
+        let mut scored: Vec<(f64, usize)> = (0..n)
+            .map(|i| {
+                let t = f0_tracks[i];
+                let (lo, hi) =
+                    t.iter().fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+                (self.band_energy(mixed.len(), fs, (lo - 0.1).max(0.01), hi + 0.1), i)
+            })
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        scored.into_iter().map(|(_, i)| i).collect()
     }
 
     /// Spectral energy inside `[lo, hi]` Hz of the half spectrum cached in
@@ -535,7 +481,7 @@ impl RoundContext {
         let frames = self.spec.frames();
 
         // Mask build: interferer ridge ratios, magnitude extraction, and
-        // the significance mask rebuild, timed as one stage.
+        // the mask rebuild, timed as one stage.
         let mask_span = dhf_obs::span(dhf_obs::Stage::MaskBuild);
 
         // Interferer ridges: frequency ratios at each frame centre. Inner
@@ -561,19 +507,16 @@ impl RoundContext {
 
         // Interferer ridges wander further (in unwarped Hz) within the
         // longer original-time windows of shrunk rounds, so the concealed
-        // band widens proportionally. Only *significant* interferer
-        // harmonics are concealed (paper §3.3), judged against the
-        // spectrogram median.
+        // band widens proportionally.
         let mask_bw = cfg.mask_bandwidth_hz * (cfg.window as f64 / window as f64);
         self.spec.magnitude_into(&mut self.magnitude);
-        self.mask.rebuild_significant(
+        self.mask.rebuild(
             &stft_cfg,
             frames,
             &self.ratios,
             cfg.mask_harmonics,
             mask_bw,
-            Some(&self.magnitude),
-            cfg.mask_significance,
+            &self.magnitude,
         );
         let hidden_fraction = self.mask.hidden_fraction();
         drop(mask_span);
@@ -619,38 +562,31 @@ impl RoundContext {
             WarmEvent::Bypass => {}
         }
 
-        // Cyclic phase interpolation across the concealed cells (§3.4),
-        // then rebuild the workspace planes in place. When the in-paint
-        // kept every visible cell's magnitude (harmonic interpolation, or
-        // deep prior with `keep_visible`), a visible cell is entirely
-        // unchanged, so only the concealed cells need phases interpolated
-        // and coefficients rebuilt; otherwise rebuild the full image.
+        // Cyclic phase interpolation across the concealed cells (§3.4).
+        // Both in-painters keep every visible cell's magnitude, so a
+        // visible cell is entirely unchanged: only the concealed cells get
+        // phases interpolated and coefficients rebuilt in place.
         let apply_span = dhf_obs::span(dhf_obs::Stage::MaskApply);
-        let visible_preserved = self.icfg.keep_visible
-            || matches!(self.icfg.method, crate::inpaint::InpaintMethod::HarmonicInterp);
-        if visible_preserved {
-            reconstruct_hidden_cells(&mut self.spec, &self.mask, &outcome.magnitude);
-        } else {
-            interpolate_masked_phase_into(&self.spec, &self.mask, &mut self.phase);
-            self.spec.set_magnitude_phase(&outcome.magnitude, &self.phase);
-        }
+        reconstruct_hidden_cells(&mut self.spec, &self.mask, &outcome.magnitude);
 
-        // Optional comb restriction: keep only the target's harmonic rows.
-        // Rounds that shrank the window target a slow dominant source
-        // whose per-period amplitude variation spreads energy *between*
+        // Comb restriction: keep only the target's harmonic rows. The
+        // unwarped target fundamental is locked at 1 Hz, so the target's
+        // energy lies on its harmonic rows; the comb drops what the image
+        // holds between them (interferer leakage and noise). Rounds that
+        // shrank the window target a slow dominant source whose
+        // per-period amplitude variation spreads energy *between*
         // harmonic rows; a comb would discard those sidebands, so it only
         // applies to full-window rounds.
-        if cfg.comb_output && window == cfg.window {
+        if window == cfg.window {
             // Tooth count stops at the band limit so pure-noise rows are
             // not resynthesized.
-            let comb_bw = cfg.comb_bandwidth_hz;
             let mean_f0 = target_track.iter().sum::<f64>() / target_track.len() as f64;
             let comb_harmonics = if mean_f0 > 0.0 {
                 cfg.comb_harmonics.min(((cfg.max_source_hz / mean_f0).floor() as usize).max(1))
             } else {
                 cfg.comb_harmonics
             };
-            let gain = target_comb_gain(&stft_cfg, comb_harmonics, comb_bw);
+            let gain = target_comb_gain(&stft_cfg, comb_harmonics, cfg.comb_bandwidth_hz);
             self.spec.scale_bins(&gain);
         }
         drop(apply_span);
@@ -764,13 +700,13 @@ mod tests {
         let fs = 100.0;
         let n = 6000;
         let (mix, _s1, _s2, tracks) = make_mix(fs, n);
-        let refs: Vec<&[f64]> = tracks.iter().map(Vec::as_slice).collect();
         let mut ctx = RoundContext::new(&DhfConfig::fast());
-        let order = ctx.peel_order(&mix, fs, &refs);
-        assert_eq!(order[0], 0, "dominant source must be peeled first");
-        let mut as_given =
-            RoundContext::new(&DhfConfig { order: SeparationOrder::AsGiven, ..DhfConfig::fast() });
-        assert_eq!(as_given.peel_order(&mix, fs, &refs), vec![0, 1]);
+        let strong_first: Vec<&[f64]> = vec![&tracks[0], &tracks[1]];
+        assert_eq!(ctx.peel_order(&mix, fs, &strong_first), vec![0, 1]);
+        // Supplied weak-first, the strong source (now index 1) still goes
+        // first.
+        let weak_first: Vec<&[f64]> = vec![&tracks[1], &tracks[0]];
+        assert_eq!(ctx.peel_order(&mix, fs, &weak_first), vec![1, 0]);
     }
 
     #[test]

@@ -56,37 +56,6 @@ pub fn median(x: &[f64]) -> Option<f64> {
     Some(if n % 2 == 1 { v[n / 2] } else { 0.5 * (v[n / 2 - 1] + v[n / 2]) })
 }
 
-/// Pearson correlation coefficient between two equal-length samples.
-///
-/// Returns 0 if either sample is constant.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "pearson requires equal lengths");
-    if x.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (&a, &b) in x.iter().zip(y) {
-        let dx = a - mx;
-        let dy = b - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx < f64::EPSILON || syy < f64::EPSILON {
-        0.0
-    } else {
-        sxy / (sxx * syy).sqrt()
-    }
-}
-
 /// Ordinary least squares fit `y ≈ w0 + w1·x`; returns `(w0, w1)`.
 ///
 /// Returns `(mean(y), 0)` when `x` is constant.
@@ -146,22 +115,6 @@ mod tests {
         let x = [1.0, f64::NAN, -2.0, 5.0];
         assert_eq!(min_max(&x), Some((-2.0, 5.0)));
         assert_eq!(min_max(&[]), None);
-    }
-
-    #[test]
-    fn pearson_of_linear_relation_is_one() {
-        let x: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|&v| 3.0 * v - 7.0).collect();
-        assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
-        let yneg: Vec<f64> = x.iter().map(|&v| -2.0 * v).collect();
-        assert!((pearson(&x, &yneg) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_of_constant_is_zero() {
-        let x = vec![1.0; 10];
-        let y: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        assert_eq!(pearson(&x, &y), 0.0);
     }
 
     #[test]

@@ -110,11 +110,6 @@ impl StftConfig {
         (k.max(0.0) as usize).min(self.bins() - 1)
     }
 
-    /// Start time (seconds) of frame `m`.
-    pub fn frame_time(&self, m: usize) -> f64 {
-        (m * self.hop) as f64 / self.fs
-    }
-
     /// Number of frames produced for a signal of `n` samples.
     pub fn frames_for(&self, n: usize) -> usize {
         if n < self.window_len {
@@ -141,9 +136,10 @@ impl StftConfig {
 /// per-frame allocation or strided scatter, and the whole workspace is
 /// reused across rounds/chunks (capacity survives
 /// [`StftEngine::stft_into`] re-analysis). Stage images that the neural
-/// in-painter consumes (magnitude, masks) remain bin-major `[freq, time]`;
-/// [`Spectrogram::magnitude_into`] and
-/// [`Spectrogram::set_magnitude_phase`] transpose at the boundary.
+/// in-painter consumes (magnitude, masks) remain bin-major `[freq, time]`:
+/// [`Spectrogram::magnitude_into`] transposes at the boundary, and the
+/// in-painted cells go back one coefficient at a time through
+/// [`Spectrogram::set_at`].
 ///
 /// # Example
 ///
@@ -189,24 +185,6 @@ impl Spectrogram {
             im: Vec::new(),
             signal_len: 0,
         }
-    }
-
-    /// Builds a spectrogram from raw SoA planes (frame-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the planes are not both `config.bins() * frames` long.
-    pub fn from_parts(
-        config: StftConfig,
-        frames: usize,
-        re: Vec<f64>,
-        im: Vec<f64>,
-        signal_len: usize,
-    ) -> Self {
-        let bins = config.bins();
-        assert_eq!(re.len(), bins * frames, "re plane length mismatch");
-        assert_eq!(im.len(), bins * frames, "im plane length mismatch");
-        Spectrogram { config, bins, frames, re, im, signal_len }
     }
 
     /// Resets configuration and shape, resizing the planes (reusing their
@@ -308,27 +286,6 @@ impl Spectrogram {
             let row = m * self.bins;
             for b in 0..self.bins {
                 out[b * self.frames + m] = flat[row + b];
-            }
-        }
-    }
-
-    /// Rebuilds every coefficient in place from bin-major magnitude and
-    /// phase images (no allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if image sizes disagree with this spectrogram's shape.
-    pub fn set_magnitude_phase(&mut self, magnitude: &[f64], phase: &[f64]) {
-        assert_eq!(magnitude.len(), self.re.len(), "magnitude size mismatch");
-        assert_eq!(phase.len(), self.re.len(), "phase size mismatch");
-        for m in 0..self.frames {
-            let row = m * self.bins;
-            for b in 0..self.bins {
-                let src = b * self.frames + m;
-                let (mag, ph) = (magnitude[src], phase[src]);
-                let (sin, cos) = ph.sin_cos();
-                self.re[row + b] = mag * cos;
-                self.im[row + b] = mag * sin;
             }
         }
     }
@@ -640,31 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn magnitude_phase_round_trip() {
-        let cfg = StftConfig::new(64, 16, 16.0).unwrap();
-        let x = chirp(512, 16.0);
-        let s = stft(&x, &cfg).unwrap();
-        let mag = s.magnitude();
-        let phase: Vec<f64> = {
-            let (bins, frames) = (s.bins(), s.frames());
-            let mut out = vec![0.0; bins * frames];
-            for b in 0..bins {
-                for m in 0..frames {
-                    out[b * frames + m] = s.at(b, m).arg();
-                }
-            }
-            out
-        };
-        let mut rebuilt = s.clone();
-        rebuilt.set_magnitude_phase(&mag, &phase);
-        for b in 0..s.bins() {
-            for m in 0..s.frames() {
-                assert!((s.at(b, m) - rebuilt.at(b, m)).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn apply_mask_zeroes_selected_bins() {
         let cfg = StftConfig::new(64, 16, 16.0).unwrap();
         let x = chirp(512, 16.0);
@@ -717,7 +649,6 @@ mod tests {
         let cfg = StftConfig::new(64, 16, 16.0).unwrap();
         let x = chirp(512, 16.0);
         let s = stft(&x, &cfg).unwrap();
-        let mag = s.magnitude();
         let mask: Vec<f64> =
             (0..s.bins() * s.frames()).map(|i| if i % 3 == 0 { 0.0 } else { 0.5 }).collect();
 
@@ -736,17 +667,6 @@ mod tests {
             for m in 0..s.frames() {
                 let expect = s.at(b, m).scale(mask[b * s.frames() + m]);
                 assert!((masked.at(b, m) - expect).abs() < 1e-15);
-            }
-        }
-
-        // Rebuilding from the magnitude image with zero phase zeroes the
-        // imaginary plane and leaves magnitudes intact.
-        let mut rebuilt = s.clone();
-        rebuilt.set_magnitude_phase(&mag, &vec![0.0; mag.len()]);
-        assert!(rebuilt.im_plane().iter().all(|&v| v == 0.0));
-        for b in 0..s.bins() {
-            for m in 0..s.frames() {
-                assert!((rebuilt.at(b, m).re - mag[b * s.frames() + m]).abs() < 1e-12);
             }
         }
 

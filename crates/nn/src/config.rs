@@ -53,26 +53,14 @@ impl Default for WarmFitParams {
     }
 }
 
-/// Activation applied to the network's single output channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OutputActivation {
-    /// Logistic sigmoid — appropriate when magnitudes are pre-normalized
-    /// into `[0, 1]` (the DHF pipeline default).
-    #[default]
-    Sigmoid,
-    /// Leaky ReLU with slope 0.01 — outputs unbounded non-negative-ish
-    /// magnitudes.
-    LeakyRelu,
-    /// No output activation.
-    Linear,
-}
-
 /// Hyper-parameters of [`DeepPriorNet`].
 ///
 /// The defaults reproduce the paper's SpAc LU-Net: harmonic convolutions
 /// with anchor 1, no frequency pooling, and a large time dilation that
 /// matches the constant-frequency patterns created by pattern alignment
 /// (the paper uses 13 or 15 depending on the masking situation, §4.2).
+/// The single output channel always goes through a logistic sigmoid: the
+/// in-painter normalizes magnitudes into `[0, 1]`.
 ///
 /// [`DeepPriorNet`]: crate::DeepPriorNet
 #[derive(Debug, Clone, PartialEq)]
@@ -88,17 +76,15 @@ pub struct NetConfig {
     /// Frequency max-pooling factor per level — **must stay `None` for the
     /// SpAc design**; `Some(2)` reproduces the Zhang-baseline ablation.
     pub freq_pool: Option<usize>,
-    /// Output activation.
-    pub output: OutputActivation,
     /// Negative slope of the hidden leaky ReLUs.
     pub relu_slope: f32,
     /// Standard deviation of the fixed noise input `z`.
     pub z_std: f32,
-    /// Initial bias of the output projection. With a sigmoid head this
-    /// sets the untrained image level: `σ(output_bias)` should sit near
-    /// the *background* magnitude of the (normalized) target so hidden
-    /// cells start dark instead of mid-gray. The DHF in-painter overrides
-    /// it per round from the visible-cell statistics.
+    /// Initial bias of the output projection. It sets the untrained image
+    /// level: `σ(output_bias)` should sit near the *background* magnitude
+    /// of the (normalized) target so hidden cells start dark instead of
+    /// mid-gray. The DHF in-painter overrides it per round from the
+    /// visible-cell statistics.
     pub output_bias: f32,
 }
 
@@ -110,7 +96,6 @@ impl Default for NetConfig {
             depth: 2,
             conv: ConvKind::Harmonic { harmonics: 4, kt: 3, anchor: 1, dil_t: 13 },
             freq_pool: None,
-            output: OutputActivation::Sigmoid,
             relu_slope: 0.1,
             z_std: 0.1,
             output_bias: -3.0,
@@ -179,11 +164,6 @@ impl NetConfig {
             }
         }
         eat(self.freq_pool.map_or(0, |f| f as u64 + 1));
-        eat(match self.output {
-            OutputActivation::Sigmoid => 1,
-            OutputActivation::LeakyRelu => 2,
-            OutputActivation::Linear => 3,
-        });
         eat(u64::from(self.relu_slope.to_bits()));
         h
     }

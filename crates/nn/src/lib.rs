@@ -41,7 +41,7 @@ mod config;
 mod net;
 
 pub use blocks::ConvKind;
-pub use config::{FitParams, NetConfig, OutputActivation, WarmFitParams};
+pub use config::{FitParams, NetConfig, WarmFitParams};
 pub use net::{DeepPriorNet, TrainReport, WeightState};
 
 /// Errors from network construction.

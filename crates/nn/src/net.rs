@@ -2,7 +2,7 @@
 //! spectrogram (paper §3.2–3.3).
 
 use crate::blocks::{conv_block, project_out};
-use crate::config::{NetConfig, OutputActivation, WarmFitParams};
+use crate::config::{NetConfig, WarmFitParams};
 use crate::NnError;
 use dhf_tensor::{init, optim::Adam, Graph, Scalar, Tensor, VarId};
 use rand::Rng;
@@ -142,19 +142,11 @@ impl<S: Scalar> DeepPriorNet<S> {
             x = conv_block(&mut g, x, in_ch + skip_ch, ch, &cfg.conv, cfg.relu_slope, rng);
             in_ch = ch;
         }
-        // Output projection + activation. The sigmoid head starts at the
+        // Output projection + sigmoid head. The head starts at the
         // configured background level so an undertrained prior cannot
         // flood hidden cells with mid-gray magnitude.
-        let bias_init = match cfg.output {
-            OutputActivation::Sigmoid => cfg.output_bias,
-            _ => 0.0,
-        };
-        let proj = project_out(&mut g, x, in_ch, 1, bias_init, rng);
-        let output = match cfg.output {
-            OutputActivation::Sigmoid => g.sigmoid(proj),
-            OutputActivation::LeakyRelu => g.leaky_relu(proj, 0.01),
-            OutputActivation::Linear => proj,
-        };
+        let proj = project_out(&mut g, x, in_ch, 1, cfg.output_bias, rng);
+        let output = g.sigmoid(proj);
 
         let target = g.input(Tensor::zeros(&[1, bins, frames]));
         let mask = g.input(Tensor::zeros(&[1, bins, frames]));

@@ -40,7 +40,8 @@ pub use pipeline::{
 };
 
 use dhf_dsp::filter::detrend;
-use dhf_dsp::stats::{linear_fit, mean, pearson, rms};
+use dhf_dsp::stats::{linear_fit, mean, rms};
+use dhf_metrics::pearson;
 
 /// The paper's regularizing constant in Eq. 10.
 pub const DEFAULT_K: f64 = 1.885;

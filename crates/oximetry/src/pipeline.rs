@@ -96,6 +96,12 @@ impl From<StreamError> for OximetryError {
     }
 }
 
+/// Time constant (seconds) of the one-pole DC tracker applied to each raw
+/// channel before separation. Slow against the slowest physiological
+/// component so pulsation is not eaten, and fast enough to follow optode
+/// coupling drift.
+const DC_TIME_CONSTANT_S: f64 = 2.0;
+
 /// Configuration of the trend extraction stage (shared by the offline and
 /// streaming paths).
 #[derive(Debug, Clone, PartialEq)]
@@ -113,11 +119,6 @@ pub struct OximetryConfig {
     /// SpO2. Fit it from blood draws ([`Calibration::fit`]) or use a
     /// known forward model.
     pub calibration: Calibration,
-    /// Time constant (seconds) of the one-pole DC tracker applied to each
-    /// raw channel before separation. Must be slow against the slowest
-    /// physiological component so pulsation is not eaten, and fast enough
-    /// to follow optode coupling drift.
-    pub dc_time_constant_s: f64,
 }
 
 impl OximetryConfig {
@@ -125,9 +126,8 @@ impl OximetryConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`OximetryError::Config`] if `trend_window` is zero,
-    /// `trend_hop` is zero or exceeds `trend_window`, or the DC time
-    /// constant is non-positive or non-finite.
+    /// Returns [`OximetryError::Config`] if `trend_window` is zero, or
+    /// `trend_hop` is zero or exceeds `trend_window`.
     pub fn new(
         fetal_source: usize,
         trend_window: usize,
@@ -146,36 +146,14 @@ impl OximetryConfig {
                 message: format!("must be in [1, trend_window = {trend_window}]"),
             });
         }
-        Ok(OximetryConfig {
-            fetal_source,
-            trend_window,
-            trend_hop,
-            calibration,
-            dc_time_constant_s: 2.0,
-        })
+        Ok(OximetryConfig { fetal_source, trend_window, trend_hop, calibration })
     }
+}
 
-    /// Replaces the DC-tracker time constant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OximetryError::Config`] for a non-positive or non-finite
-    /// value.
-    pub fn with_dc_time_constant(mut self, seconds: f64) -> Result<Self, OximetryError> {
-        if !(seconds > 0.0 && seconds.is_finite()) {
-            return Err(OximetryError::Config {
-                name: "dc_time_constant_s",
-                message: "must be positive and finite".into(),
-            });
-        }
-        self.dc_time_constant_s = seconds;
-        Ok(self)
-    }
-
-    /// One-pole smoothing coefficient for a channel sampled at `fs` Hz.
-    fn dc_alpha(&self, fs: f64) -> f64 {
-        1.0 - (-1.0 / (fs * self.dc_time_constant_s)).exp()
-    }
+/// One-pole DC-tracker smoothing coefficient for a channel sampled at `fs`
+/// Hz.
+fn dc_alpha(fs: f64) -> f64 {
+    1.0 - (-1.0 / (fs * DC_TIME_CONSTANT_S)).exp()
 }
 
 /// One windowed SpO2 estimate.
@@ -350,7 +328,7 @@ pub fn estimate_spo2_trend_in(
             n_sources: f0_tracks.len(),
         });
     }
-    let alpha = cfg.dc_alpha(fs);
+    let alpha = dc_alpha(fs);
     let mut fetal_estimates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
     for (li, channel) in mixed.iter().enumerate() {
         let pulsatile = ema_detrend(channel, alpha, &mut None);
@@ -446,7 +424,7 @@ impl StreamingOximeter {
                 n_sources,
             });
         }
-        let alpha = cfg.dc_alpha(fs);
+        let alpha = dc_alpha(fs);
         let seps = [
             StreamingSeparator::new(fs, n_sources, scfg.clone())?,
             StreamingSeparator::new(fs, n_sources, scfg)?,
@@ -700,8 +678,7 @@ mod tests {
             OximetryConfig::new(1, 100, 101, cal),
             Err(OximetryError::Config { name: "trend_hop", .. })
         ));
-        let cfg = OximetryConfig::new(1, 100, 50, cal).unwrap();
-        assert!(cfg.with_dc_time_constant(0.0).is_err());
+        assert!(OximetryConfig::new(1, 100, 50, cal).is_ok());
     }
 
     #[test]

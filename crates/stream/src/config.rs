@@ -68,14 +68,11 @@ impl StreamingConfig {
     /// Enables deep-prior warm starting with the default fine-tune budget:
     /// from the second chunk on, each source's in-painting resumes the
     /// previous chunk's trained weights with a bounded fine-tune instead of
-    /// refitting from scratch (see `dhf_core::inpaint`).
-    pub fn with_warm_start(self) -> Self {
-        self.with_warm_start_params(WarmFitParams::default())
-    }
-
-    /// Enables deep-prior warm starting with an explicit fine-tune budget.
-    pub fn with_warm_start_params(mut self, warm: WarmFitParams) -> Self {
-        self.dhf.inpaint.warm = Some(warm);
+    /// refitting from scratch (see `dhf_core::inpaint`). A caller that
+    /// needs another budget sets `dhf.inpaint.warm` on the [`DhfConfig`]
+    /// it passes to [`StreamingConfig::new`] instead.
+    pub fn with_warm_start(mut self) -> Self {
+        self.dhf.inpaint.warm = Some(WarmFitParams::default());
         self
     }
 

@@ -119,7 +119,7 @@ impl Spo2Scenario {
 /// Configuration of a scenario-driven dual-wavelength recording.
 ///
 /// Physiology (heart-rate/respiration bands, modulation depths,
-/// interference drift) defaults to the sheep-1 protocol of
+/// interference drift) follows the sheep-1 protocol of
 /// [`InvivoConfig::sheep1`]; only the SpO2 trajectory, duration, and seed
 /// are scenario-specific.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,12 +134,6 @@ pub struct DualWaveConfig {
     pub seed: u64,
     /// Number of evenly spaced blood draws to place on the trajectory.
     pub draws: usize,
-    /// Relative slow drift of the interference modulation depths,
-    /// independent per wavelength (see
-    /// [`InvivoConfig::interference_drift`]). `None` keeps the sheep-1
-    /// default; lowering it isolates the pipeline's own trend fidelity
-    /// from separation-leakage bias, which scales with the drift.
-    pub interference_drift: Option<f64>,
 }
 
 impl DualWaveConfig {
@@ -150,26 +144,13 @@ impl DualWaveConfig {
     ///
     /// Panics (in [`generate`]) if `duration_s` is non-positive.
     pub fn new(scenario: Spo2Scenario, duration_s: f64) -> Self {
-        DualWaveConfig {
-            scenario,
-            duration_s,
-            fs: 100.0,
-            seed: 0x0D5A7,
-            draws: 4,
-            interference_drift: None,
-        }
+        DualWaveConfig { scenario, duration_s, fs: 100.0, seed: 0x0D5A7, draws: 4 }
     }
 
     /// Replaces the master seed (distinct seeds give independent
     /// schedules, drifts, and noise — one recording per fleet session).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the per-wavelength interference-drift amplitude.
-    pub fn with_interference_drift(mut self, drift: f64) -> Self {
-        self.interference_drift = Some(drift);
         self
     }
 
@@ -184,9 +165,6 @@ impl DualWaveConfig {
         cfg.draw_times_s = (0..self.draws)
             .map(|i| self.duration_s * (i as f64 + 1.0) / (self.draws as f64 + 1.0))
             .collect();
-        if let Some(drift) = self.interference_drift {
-            cfg.interference_drift = drift;
-        }
         cfg
     }
 }
@@ -211,7 +189,8 @@ pub fn generate(cfg: &DualWaveConfig) -> TfoRecording {
 mod tests {
     use super::*;
     use crate::invivo::modulation_ratio_for_sao2;
-    use dhf_dsp::stats::{pearson, rms};
+    use dhf_dsp::stats::rms;
+    use dhf_metrics::pearson;
 
     #[test]
     fn constant_scenario_holds_its_level() {

@@ -349,7 +349,8 @@ pub fn simulate(config: &InvivoConfig) -> TfoRecording {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhf_dsp::stats::{mean, pearson, rms};
+    use dhf_dsp::stats::{mean, rms};
+    use dhf_metrics::pearson;
 
     fn small() -> TfoRecording {
         simulate(&InvivoConfig::sheep1().scaled(0.05)) // 2 minutes

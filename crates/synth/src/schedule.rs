@@ -82,14 +82,6 @@ impl PeriodSchedule {
     pub fn frequency(&self, i: usize) -> f64 {
         1.0 / self.durations[i]
     }
-
-    /// Mean of the per-period frequencies.
-    pub fn mean_frequency(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.durations.iter().map(|&d| 1.0 / d).sum::<f64>() / self.len() as f64
-    }
 }
 
 /// Standard normal via Box–Muller.

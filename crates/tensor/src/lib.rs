@@ -23,7 +23,7 @@
 //!   frequency max-pooling (for the Zhang-baseline ablation), nearest
 //!   upsampling, channel concatenation, instance normalization, and a
 //!   masked mean-squared-error loss.
-//! * [`optim`] — Adam and SGD over the graph's trainable leaves.
+//! * [`optim`] — Adam over the graph's trainable leaves.
 //!
 //! # Example: fit a tiny network to a constant image
 //!

@@ -1,4 +1,4 @@
-//! First-order optimizers over a [`Graph`]'s trainable parameters.
+//! The first-order optimizer over a [`Graph`]'s trainable parameters.
 
 use crate::scalar::Scalar;
 use crate::{Graph, VarId};
@@ -58,28 +58,6 @@ impl<S: Scalar> Adam<S> {
         }
     }
 
-    /// Creates Adam with explicit moment coefficients.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
-        Adam {
-            lr: S::from_f32(lr),
-            beta1: S::from_f32(beta1),
-            beta2: S::from_f32(beta2),
-            eps: S::from_f32(1e-8),
-            t: 0,
-            state: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr.to_f32()
-    }
-
-    /// Replaces the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = S::from_f32(lr);
-    }
-
     /// Applies one update using the gradients currently stored in `graph`.
     ///
     /// Moment buffers are allocated lazily on first use and keyed by
@@ -111,51 +89,12 @@ impl<S: Scalar> Adam<S> {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd<S: Scalar = f32> {
-    lr: S,
-    momentum: S,
-    velocity: Vec<(VarId, Vec<S>)>,
-}
-
-impl<S: Scalar> Sgd<S> {
-    /// Creates SGD without momentum.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr: S::from_f32(lr), momentum: S::ZERO, velocity: Vec::new() }
-    }
-
-    /// Creates SGD with classical momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd { lr: S::from_f32(lr), momentum: S::from_f32(momentum), velocity: Vec::new() }
-    }
-
-    /// Applies one update using the gradients currently stored in `graph`.
-    pub fn step(&mut self, graph: &mut Graph<S>) {
-        if self.velocity.is_empty() {
-            for &id in graph.params() {
-                let n = graph.value(id).numel();
-                self.velocity.push((id, vec![S::ZERO; n]));
-            }
-        }
-        for (id, vel) in &mut self.velocity {
-            let (value, grad) = graph.param_value_and_grad(*id);
-            let vd = value.data_mut();
-            let gd = grad.data();
-            for i in 0..vd.len() {
-                vel[i] = self.momentum * vel[i] - self.lr * gd[i];
-                vd[i] += vel[i];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Tensor;
 
-    /// Loss (w - 3)² through the graph; both optimizers must drive w → 3.
+    /// Loss (w - 3)² through the graph; the optimizer must drive w → 3.
     fn quadratic_graph() -> (Graph, VarId, VarId) {
         let mut g: Graph = Graph::new();
         let w = g.param(Tensor::scalar(0.0));
@@ -170,18 +109,6 @@ mod tests {
         let (mut g, w, loss) = quadratic_graph();
         let mut opt = Adam::new(0.2);
         for _ in 0..200 {
-            g.forward();
-            g.backward(loss);
-            opt.step(&mut g);
-        }
-        assert!((g.value(w).data()[0] - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let (mut g, w, loss) = quadratic_graph();
-        let mut opt = Sgd::with_momentum(0.1, 0.5);
-        for _ in 0..300 {
             g.forward();
             g.backward(loss);
             opt.step(&mut g);
@@ -222,13 +149,5 @@ mod tests {
         }
         g.forward();
         assert!(g.value(loss).data()[0] < 1e-3);
-    }
-
-    #[test]
-    fn learning_rate_can_be_decayed() {
-        let mut opt: Adam = Adam::new(0.1);
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 }

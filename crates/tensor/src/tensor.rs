@@ -111,11 +111,6 @@ impl<S: Scalar> Tensor<S> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<S> {
-        self.data
-    }
-
     /// Reinterprets the buffer under a new shape with equal element count.
     ///
     /// # Panics

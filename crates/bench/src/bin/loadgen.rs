@@ -327,7 +327,6 @@ fn main() {
         .int("plans_built", telemetry.plans_built())
         .int("warm_fits", telemetry.warm_hits())
         .int("cold_fits", telemetry.cold_fits())
-        .int("warm_pool_size", telemetry.warm_pool_size())
         .int("dropped_samples", telemetry.dropped_samples())
         .int("queue_depth_hwm_samples", telemetry.queue_depth_hwm())
         .int("batch_packets_hwm", telemetry.batch_packets_hwm())

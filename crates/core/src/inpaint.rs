@@ -9,7 +9,7 @@
 //! "prior" reduced to pure temporal continuity.
 
 use crate::DhfError;
-use dhf_nn::{DeepPriorNet, FitParams, NetConfig, TrainReport, WarmFitParams, WeightState};
+use dhf_nn::{DeepPriorNet, FitParams, NetConfig, TrainReport, WarmFitParams};
 use dhf_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,43 +72,29 @@ pub struct InpaintOutcome {
 ///
 /// The streaming engine keeps one slot per source: the net trained on
 /// chunk *k* stays resident and chunk *k+1* resumes it with a short
-/// fine-tune ([`InpaintConfig::warm`]). A slot can also be *seeded* with a
-/// [`WeightState`] snapshot (the serving runtime's warm pools hand states
-/// across sessions); the next compatible in-paint adopts it instead of
-/// fitting cold.
+/// fine-tune ([`InpaintConfig::warm`]). Only [`inpaint_magnitude`] builds
+/// or fits the resident net.
 #[derive(Debug, Default)]
 pub struct WarmSlot {
     net: Option<DeepPriorNet>,
-    pending: Option<WeightState>,
 }
 
 impl WarmSlot {
-    /// Forgets the resident net and any pending snapshot.
+    /// Forgets the resident net.
     pub fn clear(&mut self) {
         self.net = None;
-        self.pending = None;
     }
 
     /// True when a trained net is resident.
     pub fn is_warm(&self) -> bool {
         self.net.is_some()
     }
-
-    /// Snapshots the resident net's weights (for serving warm pools).
-    pub fn capture(&self) -> Option<WeightState> {
-        self.net.as_ref().map(DeepPriorNet::capture_weights)
-    }
-
-    /// Stages a snapshot for adoption by the next compatible in-paint.
-    pub fn seed(&mut self, state: WeightState) {
-        self.pending = Some(state);
-    }
 }
 
 /// How a deep-prior invocation obtained its weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmEvent {
-    /// Resumed a resident (or seeded) weight state with a warm fine-tune.
+    /// Resumed the resident net with a warm fine-tune.
     Warm,
     /// Fit from scratch.
     Cold,
@@ -209,10 +195,10 @@ fn fit_setup(
 }
 
 /// How many extra time frames a warm fit may pad beyond the minimum to
-/// land on a resident (or seeded) net's extent. Unwarped chunk lengths
-/// wobble a few frames as the f0 track drifts; without this slack the
-/// architecture fingerprint would miss on nearly every drifting stream
-/// and warm starts would silently degrade to cold refits.
+/// land on the resident net's extent. Unwarped chunk lengths wobble a few
+/// frames as the f0 track drifts; without this slack the architecture
+/// fingerprint would miss on nearly every drifting stream and warm starts
+/// would silently degrade to cold refits.
 pub const WARM_PAD_SLACK_FRAMES: usize = 16;
 
 /// Widens a prepared fit to `new_padded` time frames. The extra columns
@@ -267,11 +253,11 @@ fn overlay_output(
 /// The deep prior normalizes the image, pads the time axis to the pooling
 /// schedule, trains the masked objective, then denormalizes and crops.
 /// When [`InpaintConfig::warm`] is set and `slot` holds a compatible
-/// trained net (or a seeded snapshot), the fit resumes from those weights
-/// with a bounded fine-tune; otherwise it fits cold and leaves the freshly
-/// trained net resident for the next call. With `warm` unset the slot is
-/// cleared before and after the fit, so every call fits cold and nothing
-/// stays resident.
+/// trained net, the fit resumes from its weights with a bounded
+/// fine-tune; otherwise it fits cold and leaves the freshly trained net
+/// resident for the next call. With `warm` unset the slot is cleared
+/// before and after the fit, so every call fits cold and nothing stays
+/// resident.
 ///
 /// Compatibility tolerates frame-count wobble: the fit may pad up to
 /// [`WARM_PAD_SLACK_FRAMES`] extra time frames beyond the minimum to land
@@ -320,46 +306,32 @@ pub fn inpaint_magnitude(
                 ));
             };
             // Pad-slack scan: prefer the extent whose architecture matches
-            // the resident net, else one matching a seeded snapshot, else
-            // keep the minimum padding (which also keeps the slot-empty
-            // cold fit bit-identical with warm starts on or off).
+            // the resident net, else keep the minimum padding (which also
+            // keeps the slot-empty cold fit bit-identical with warm starts
+            // on or off).
             let td = cfg.net.time_divisor();
-            let resident_fp = slot.net.as_ref().map(|n| n.weight_fingerprint());
-            let pending_fp = slot.pending.as_ref().map(|s| s.fingerprint());
-            let mut chosen = None;
-            let mut p = setup.padded;
-            while p <= setup.padded + WARM_PAD_SLACK_FRAMES {
-                let f = setup.net_cfg.architecture_fingerprint(bins, p);
-                if Some(f) == resident_fp {
-                    chosen = Some(p);
-                    break;
+            let warm_extent =
+                slot.net.as_ref().map(DeepPriorNet::weight_fingerprint).and_then(|fp| {
+                    (setup.padded..=setup.padded + WARM_PAD_SLACK_FRAMES)
+                        .step_by(td)
+                        .find(|&p| setup.net_cfg.architecture_fingerprint(bins, p) == fp)
+                });
+            let event = match warm_extent {
+                Some(p) => {
+                    repad(&mut setup, bins, p);
+                    WarmEvent::Warm
                 }
-                if chosen.is_none() && Some(f) == pending_fp {
-                    chosen = Some(p);
+                None => {
+                    // Discontinuity (extent or dilation change) or first
+                    // call: drop any stale net, then build one that fits
+                    // cold.
+                    slot.net = None;
+                    let mut rng = StdRng::seed_from_u64(cfg.seed);
+                    slot.net =
+                        Some(DeepPriorNet::new(&setup.net_cfg, bins, setup.padded, &mut rng)?);
+                    WarmEvent::Cold
                 }
-                p += td;
-            }
-            if let Some(p) = chosen {
-                repad(&mut setup, bins, p);
-            }
-            let fp = setup.net_cfg.architecture_fingerprint(bins, setup.padded);
-            let resident_ok = slot.net.as_ref().is_some_and(|n| n.weight_fingerprint() == fp);
-            let mut event = WarmEvent::Warm;
-            if !resident_ok {
-                // Discontinuity (extent or dilation change) or first call:
-                // rebuild, adopting a seeded snapshot when one fits.
-                slot.net = None;
-                let mut rng = StdRng::seed_from_u64(cfg.seed);
-                let mut net = DeepPriorNet::new(&setup.net_cfg, bins, setup.padded, &mut rng)?;
-                let adopted = match slot.pending.take() {
-                    Some(state) => net.restore_weights(&state).is_ok(),
-                    None => false,
-                };
-                if !adopted {
-                    event = WarmEvent::Cold;
-                }
-                slot.net = Some(net);
-            }
+            };
             let net = slot.net.as_mut().expect("slot holds a net here");
             let report = match cfg.warm {
                 Some(params) if event == WarmEvent::Warm => {
@@ -584,48 +556,6 @@ mod tests {
         let long_mask = vec![1.0f32; bins * long_frames];
         let (_, ev) =
             inpaint_magnitude(&long_mag, bins, long_frames, &long_mask, &cfg, &mut slot).unwrap();
-        assert_eq!(ev, WarmEvent::Cold);
-    }
-
-    #[test]
-    fn seeded_snapshot_is_adopted_as_warm() {
-        let (mag, bins, frames, mask) = ridge_case();
-        let cfg = InpaintConfig {
-            iterations: 60,
-            warm: Some(WarmFitParams::default()),
-            ..tiny_cfg(InpaintMethod::DeepPrior)
-        };
-        let mut donor = WarmSlot::default();
-        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut donor).unwrap();
-        assert_eq!(ev, WarmEvent::Cold);
-        let state = donor.capture().unwrap();
-
-        // A fresh slot seeded with the snapshot warms on first use — the
-        // serving runtime's cross-session hand-off.
-        let mut fresh = WarmSlot::default();
-        fresh.seed(state);
-        let (_, ev) = inpaint_magnitude(&mag, bins, frames, &mask, &cfg, &mut fresh).unwrap();
-        assert_eq!(ev, WarmEvent::Warm);
-
-        // A slightly shorter chunk re-pads onto the snapshot's extent and
-        // still warms (the pad-slack scan also matches seeded snapshots)…
-        let mut near = WarmSlot::default();
-        near.seed(donor.capture().unwrap());
-        let short_mag = &mag[..bins * (frames - 4)];
-        let short_mask: Vec<f32> = mask[..bins * (frames - 4)].to_vec();
-        let (_, ev) =
-            inpaint_magnitude(short_mag, bins, frames - 4, &short_mask, &cfg, &mut near).unwrap();
-        assert_eq!(ev, WarmEvent::Warm);
-
-        // …but a chunk the snapshot's net cannot hold is discarded and
-        // the fit goes cold.
-        let mut wrong = WarmSlot::default();
-        wrong.seed(donor.capture().unwrap());
-        let long_frames = frames + WARM_PAD_SLACK_FRAMES + 2;
-        let long_mag = vec![0.2f64; bins * long_frames];
-        let long_mask = vec![1.0f32; bins * long_frames];
-        let (_, ev) =
-            inpaint_magnitude(&long_mag, bins, long_frames, &long_mask, &cfg, &mut wrong).unwrap();
         assert_eq!(ev, WarmEvent::Cold);
     }
 }

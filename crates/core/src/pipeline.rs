@@ -7,7 +7,7 @@ use crate::phase::reconstruct_hidden_cells;
 use crate::DhfError;
 use dhf_dsp::stft::{Spectrogram, StftConfig, StftEngine};
 use dhf_dsp::Complex;
-use dhf_nn::{ConvKind, NetConfig, TrainReport, WeightState};
+use dhf_nn::{ConvKind, NetConfig, TrainReport};
 
 /// Configuration of the full DHF pipeline.
 ///
@@ -220,7 +220,7 @@ pub struct RoundContext {
     /// trained by that source's previous round so the next round can
     /// fine-tune instead of refitting ([`InpaintConfig::warm`]).
     warm_slots: Vec<WarmSlot>,
-    /// Deep-prior fits resumed from a resident or seeded weight state.
+    /// Deep-prior fits resumed from a resident net.
     warm_hits: u64,
     /// Deep-prior fits trained from scratch.
     cold_fits: u64,
@@ -280,8 +280,8 @@ impl RoundContext {
         self.engine.planner().plans_built()
     }
 
-    /// Deep-prior fits resumed from a resident or seeded weight state
-    /// (monotone over the context's lifetime).
+    /// Deep-prior fits resumed from a resident net (monotone over the
+    /// context's lifetime).
     pub fn warm_hits(&self) -> u64 {
         self.warm_hits
     }
@@ -297,35 +297,12 @@ impl RoundContext {
         self.warm_slots.iter().filter(|s| s.is_warm()).count()
     }
 
-    /// Drops every resident deep prior and pending snapshot. The next
-    /// round per source fits cold — callers use this to make a reused
-    /// context behave like a fresh one (the streaming engine's `reset`).
+    /// Drops every resident deep prior. The next round per source fits
+    /// cold — callers use this to make a reused context behave like a
+    /// fresh one (the streaming engine's `reset`).
     pub fn clear_warm_state(&mut self) {
         for slot in &mut self.warm_slots {
             slot.clear();
-        }
-    }
-
-    /// Snapshots every resident deep prior as `(source index, weights)`
-    /// pairs — the serving runtime banks these per-config when a session
-    /// closes.
-    pub fn export_warm_state(&self) -> Vec<(usize, WeightState)> {
-        self.warm_slots
-            .iter()
-            .enumerate()
-            .filter_map(|(si, slot)| slot.capture().map(|w| (si, w)))
-            .collect()
-    }
-
-    /// Stages captured weight states for adoption: source `si`'s next
-    /// compatible deep-prior round resumes from its snapshot instead of
-    /// fitting cold. Incompatible snapshots are discarded at fit time.
-    pub fn import_warm_state(&mut self, states: Vec<(usize, WeightState)>) {
-        for (si, state) in states {
-            while self.warm_slots.len() <= si {
-                self.warm_slots.push(WarmSlot::default());
-            }
-            self.warm_slots[si].seed(state);
         }
     }
 

@@ -1,185 +1,12 @@
-//! Digital filtering: windowed-sinc FIR design, Butterworth biquads,
-//! zero-phase application, and moving-average helpers.
+//! Digital filtering: a Butterworth low-pass biquad with zero-phase
+//! application, and linear detrending.
 //!
 //! The paper band-limits all mixed signals to `[0, 12] Hz` before evaluation
-//! (§4.2) and splits PPG into AC/DC parts for oximetry (Eq. 11); both paths
-//! are served from here.
+//! (§4.2); [`band_limit`] is that step. [`detrend`] removes a segment's
+//! best-fit line (the f0 estimator's analysis windows, the oximetry AC
+//! amplitude).
 
-use crate::complex::Complex;
-use crate::fft::{fft, ifft, next_power_of_two};
 use crate::{DspError, Result};
-
-/// A linear-phase FIR filter described by its taps.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FirFilter {
-    taps: Vec<f64>,
-}
-
-impl FirFilter {
-    /// Builds a filter from explicit taps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] if `taps` is empty.
-    pub fn new(taps: Vec<f64>) -> Result<Self> {
-        if taps.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        Ok(FirFilter { taps })
-    }
-
-    /// Designs a windowed-sinc low-pass filter.
-    ///
-    /// `cutoff_hz` is the -6 dB point; `num_taps` is forced odd so the filter
-    /// has integer group delay.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] unless `0 < cutoff_hz < fs/2`
-    /// and `num_taps >= 3`.
-    pub fn low_pass(fs: f64, cutoff_hz: f64, num_taps: usize) -> Result<Self> {
-        if !(cutoff_hz > 0.0 && cutoff_hz < fs / 2.0) {
-            return Err(DspError::InvalidParameter {
-                name: "cutoff_hz",
-                message: format!("must be in (0, {})", fs / 2.0),
-            });
-        }
-        if num_taps < 3 {
-            return Err(DspError::InvalidParameter {
-                name: "num_taps",
-                message: "need at least 3 taps".into(),
-            });
-        }
-        let n = if num_taps % 2 == 0 { num_taps + 1 } else { num_taps };
-        let fc = cutoff_hz / fs;
-        let mid = (n / 2) as isize;
-        let tau = 2.0 * std::f64::consts::PI;
-        let mut taps: Vec<f64> = (0..n as isize)
-            .map(|i| {
-                let k = (i - mid) as f64;
-                let sinc = if k == 0.0 {
-                    2.0 * fc
-                } else {
-                    (tau * fc * k).sin() / (std::f64::consts::PI * k)
-                };
-                // Blackman window for strong stop-band attenuation.
-                let x = i as f64 / (n - 1) as f64;
-                let w = 0.42 - 0.5 * (tau * x).cos() + 0.08 * (2.0 * tau * x).cos();
-                sinc * w
-            })
-            .collect();
-        let sum: f64 = taps.iter().sum();
-        for t in &mut taps {
-            *t /= sum;
-        }
-        Ok(FirFilter { taps })
-    }
-
-    /// Designs a windowed-sinc high-pass filter by spectral inversion of the
-    /// complementary low-pass.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FirFilter::low_pass`].
-    pub fn high_pass(fs: f64, cutoff_hz: f64, num_taps: usize) -> Result<Self> {
-        let lp = FirFilter::low_pass(fs, cutoff_hz, num_taps)?;
-        let n = lp.taps.len();
-        let mid = n / 2;
-        let mut taps: Vec<f64> = lp.taps.iter().map(|&t| -t).collect();
-        taps[mid] += 1.0;
-        Ok(FirFilter { taps })
-    }
-
-    /// Designs a band-pass filter as high-pass ∘ low-pass (convolved taps).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] unless
-    /// `0 < lo_hz < hi_hz < fs/2`.
-    pub fn band_pass(fs: f64, lo_hz: f64, hi_hz: f64, num_taps: usize) -> Result<Self> {
-        if !(lo_hz > 0.0 && lo_hz < hi_hz && hi_hz < fs / 2.0) {
-            return Err(DspError::InvalidParameter {
-                name: "band",
-                message: format!("need 0 < lo < hi < {}", fs / 2.0),
-            });
-        }
-        let lp = FirFilter::low_pass(fs, hi_hz, num_taps)?;
-        let hp = FirFilter::high_pass(fs, lo_hz, num_taps)?;
-        Ok(FirFilter { taps: convolve_full(&lp.taps, &hp.taps) })
-    }
-
-    /// The filter taps.
-    pub fn taps(&self) -> &[f64] {
-        &self.taps
-    }
-
-    /// Applies the filter with zero phase: the signal is padded by
-    /// edge-reflection, convolved, and the group delay removed, so the output
-    /// has the same length and no time shift.
-    pub fn apply_zero_phase(&self, signal: &[f64]) -> Vec<f64> {
-        if signal.is_empty() {
-            return Vec::new();
-        }
-        let half = self.taps.len() / 2;
-        let padded = reflect_pad(signal, half);
-        let full = fft_convolve(&padded, &self.taps);
-        // full length = padded + taps - 1; the aligned output starts at
-        // 2*half (pad + group delay).
-        full[2 * half..2 * half + signal.len()].to_vec()
-    }
-
-    /// Magnitude response at `freq_hz` for sample rate `fs`.
-    pub fn magnitude_at(&self, fs: f64, freq_hz: f64) -> f64 {
-        let omega = 2.0 * std::f64::consts::PI * freq_hz / fs;
-        let mut re = 0.0;
-        let mut im = 0.0;
-        for (k, &t) in self.taps.iter().enumerate() {
-            re += t * (omega * k as f64).cos();
-            im -= t * (omega * k as f64).sin();
-        }
-        re.hypot(im)
-    }
-}
-
-/// Full linear convolution (`a.len() + b.len() - 1` output samples),
-/// computed directly for short kernels.
-pub fn convolve_full(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let mut out = vec![0.0; a.len() + b.len() - 1];
-    for (i, &x) in a.iter().enumerate() {
-        for (j, &y) in b.iter().enumerate() {
-            out[i + j] += x * y;
-        }
-    }
-    out
-}
-
-/// Full linear convolution via zero-padded FFT — O(N log N), used for long
-/// signals versus long kernels.
-pub fn fft_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let out_len = a.len() + b.len() - 1;
-    if a.len().min(b.len()) <= 32 {
-        return convolve_full(a, b);
-    }
-    let m = next_power_of_two(out_len);
-    let mut fa = vec![Complex::ZERO; m];
-    let mut fb = vec![Complex::ZERO; m];
-    for (i, &v) in a.iter().enumerate() {
-        fa[i] = Complex::from_real(v);
-    }
-    for (i, &v) in b.iter().enumerate() {
-        fb[i] = Complex::from_real(v);
-    }
-    let fa = fft(&fa);
-    let fb = fft(&fb);
-    let prod: Vec<Complex> = fa.iter().zip(&fb).map(|(&x, &y)| x * y).collect();
-    ifft(&prod).into_iter().take(out_len).map(|c| c.re).collect()
-}
 
 /// Pads a signal by mirror reflection on both sides.
 fn reflect_pad(signal: &[f64], pad: usize) -> Vec<f64> {
@@ -227,27 +54,6 @@ impl Biquad {
         })
     }
 
-    /// Butterworth high-pass biquad at cutoff `fc` (Hz), sample rate `fs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] unless `0 < fc < fs/2`.
-    pub fn butterworth_high_pass(fs: f64, fc: f64) -> Result<Self> {
-        if !(fc > 0.0 && fc < fs / 2.0) {
-            return Err(DspError::InvalidParameter {
-                name: "fc",
-                message: format!("must be in (0, {})", fs / 2.0),
-            });
-        }
-        let k = (std::f64::consts::PI * fc / fs).tan();
-        let q = std::f64::consts::FRAC_1_SQRT_2;
-        let norm = 1.0 / (1.0 + k / q + k * k);
-        Ok(Biquad {
-            b: [norm, -2.0 * norm, norm],
-            a: [2.0 * (k * k - 1.0) * norm, (1.0 - k / q + k * k) * norm],
-        })
-    }
-
     /// Causal (forward) application, direct form II transposed.
     pub fn apply(&self, signal: &[f64]) -> Vec<f64> {
         let mut z1 = 0.0;
@@ -277,31 +83,6 @@ impl Biquad {
         let out: Vec<f64> = rev.into_iter().rev().collect();
         out[pad..pad + signal.len()].to_vec()
     }
-}
-
-/// Centred moving average with window `len` (forced odd), edge-clamped.
-///
-/// This is the paper's DC extractor for pulse oximetry: the slowly varying
-/// baseline of a PPG channel.
-pub fn moving_average(signal: &[f64], len: usize) -> Vec<f64> {
-    if signal.is_empty() || len <= 1 {
-        return signal.to_vec();
-    }
-    let len = if len % 2 == 0 { len + 1 } else { len };
-    let half = len / 2;
-    let n = signal.len();
-    // Prefix sums for O(N).
-    let mut prefix = vec![0.0; n + 1];
-    for i in 0..n {
-        prefix[i + 1] = prefix[i] + signal[i];
-    }
-    (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(n);
-            (prefix[hi] - prefix[lo]) / (hi - lo) as f64
-        })
-        .collect()
 }
 
 /// Removes the best-fit straight line from a signal.
@@ -348,68 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn low_pass_passes_low_and_rejects_high() {
-        let fs = 100.0;
-        let f = FirFilter::low_pass(fs, 5.0, 101).unwrap();
-        let low = f.apply_zero_phase(&tone(fs, 1.0, 2000));
-        let high = f.apply_zero_phase(&tone(fs, 20.0, 2000));
-        assert!(rms(&low[200..1800]) > 0.65);
-        assert!(rms(&high[200..1800]) < 0.01);
-    }
-
-    #[test]
-    fn high_pass_is_complementary() {
-        let fs = 100.0;
-        let f = FirFilter::high_pass(fs, 5.0, 101).unwrap();
-        let low = f.apply_zero_phase(&tone(fs, 1.0, 2000));
-        let high = f.apply_zero_phase(&tone(fs, 20.0, 2000));
-        assert!(rms(&low[200..1800]) < 0.05);
-        assert!(rms(&high[200..1800]) > 0.65);
-    }
-
-    #[test]
-    fn band_pass_selects_middle_band() {
-        let fs = 100.0;
-        let f = FirFilter::band_pass(fs, 2.0, 10.0, 101).unwrap();
-        let below = f.apply_zero_phase(&tone(fs, 0.3, 3000));
-        let inside = f.apply_zero_phase(&tone(fs, 5.0, 3000));
-        let above = f.apply_zero_phase(&tone(fs, 25.0, 3000));
-        assert!(rms(&inside[500..2500]) > 0.6);
-        assert!(rms(&below[500..2500]) < 0.1);
-        assert!(rms(&above[500..2500]) < 0.02);
-    }
-
-    #[test]
-    fn zero_phase_fir_has_no_delay() {
-        let fs = 100.0;
-        let f = FirFilter::low_pass(fs, 10.0, 101).unwrap();
-        let x = tone(fs, 2.0, 2000);
-        let y = f.apply_zero_phase(&x);
-        assert_eq!(y.len(), x.len());
-        // Cross-correlate at small lags: the peak must be at lag 0.
-        let score = |lag: isize| -> f64 {
-            let mut s = 0.0;
-            for (i, &xi) in x.iter().enumerate().take(1800).skip(200) {
-                let j = (i as isize + lag) as usize;
-                s += xi * y[j];
-            }
-            s
-        };
-        let zero = score(0);
-        for lag in [-5isize, -2, 2, 5] {
-            assert!(zero >= score(lag), "delay detected at lag {lag}");
-        }
-    }
-
-    #[test]
-    fn fir_magnitude_response_matches_behavior() {
-        let fs = 100.0;
-        let f = FirFilter::low_pass(fs, 5.0, 101).unwrap();
-        assert!(f.magnitude_at(fs, 0.5) > 0.95);
-        assert!(f.magnitude_at(fs, 20.0) < 0.01);
-    }
-
-    #[test]
     fn biquad_low_pass_attenuates_high_frequencies() {
         let fs = 100.0;
         let bq = Biquad::butterworth_low_pass(fs, 5.0).unwrap();
@@ -417,39 +136,6 @@ mod tests {
         let high = bq.apply_zero_phase(&tone(fs, 30.0, 2000));
         assert!(rms(&low[200..1800]) > 0.65);
         assert!(rms(&high[200..1800]) < 0.02);
-    }
-
-    #[test]
-    fn biquad_high_pass_removes_dc() {
-        let fs = 100.0;
-        let bq = Biquad::butterworth_high_pass(fs, 0.5).unwrap();
-        let x: Vec<f64> = tone(fs, 3.0, 2000).iter().map(|v| v + 10.0).collect();
-        let y = bq.apply_zero_phase(&x);
-        let mean = y[200..1800].iter().sum::<f64>() / 1600.0;
-        assert!(mean.abs() < 0.05, "residual DC {mean}");
-        assert!(rms(&y[200..1800]) > 0.6);
-    }
-
-    #[test]
-    fn convolution_fft_matches_direct() {
-        let a: Vec<f64> = (0..257).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-        let b: Vec<f64> = (0..64).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let direct = convolve_full(&a, &b);
-        let fast = fft_convolve(&a, &b);
-        assert_eq!(direct.len(), fast.len());
-        for (x, y) in direct.iter().zip(&fast) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn moving_average_flattens_oscillation_keeps_dc() {
-        let fs = 100.0;
-        let x: Vec<f64> = tone(fs, 2.0, 1000).iter().map(|v| v + 3.0).collect();
-        let dc = moving_average(&x, 51); // ≈ one 2 Hz period + 1
-        for &v in &dc[100..900] {
-            assert!((v - 3.0).abs() < 0.05, "dc {v}");
-        }
     }
 
     #[test]
@@ -469,16 +155,11 @@ mod tests {
 
     #[test]
     fn design_rejects_invalid_cutoffs() {
-        assert!(FirFilter::low_pass(100.0, 0.0, 11).is_err());
-        assert!(FirFilter::low_pass(100.0, 60.0, 11).is_err());
-        assert!(FirFilter::band_pass(100.0, 10.0, 5.0, 11).is_err());
         assert!(Biquad::butterworth_low_pass(100.0, 50.0).is_err());
     }
 
     #[test]
     fn empty_signal_passes_through() {
-        let f = FirFilter::low_pass(100.0, 5.0, 11).unwrap();
-        assert!(f.apply_zero_phase(&[]).is_empty());
         let bq = Biquad::butterworth_low_pass(100.0, 5.0).unwrap();
         assert!(bq.apply_zero_phase(&[]).is_empty());
     }

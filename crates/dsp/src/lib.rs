@@ -11,8 +11,8 @@
 //!   reading and writing the flat SoA [`Spectrogram`] workspace (contiguous
 //!   `re`/`im` planes, one half-spectrum slice per frame).
 //! * Window functions ([`window`]).
-//! * FIR / IIR filtering ([`filter`]): windowed-sinc band-pass design and
-//!   Butterworth biquads with zero-phase application.
+//! * IIR filtering ([`filter`]): a Butterworth low-pass biquad with
+//!   zero-phase application, and linear detrending.
 //! * Interpolation ([`interp`]): linear, natural cubic spline and monotone
 //!   PCHIP, the workhorses of the paper's pattern aligner (Eqs. 3–7).
 //! * Resampling ([`resample`]), phase utilities ([`phase`]), simple

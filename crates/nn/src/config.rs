@@ -127,14 +127,16 @@ impl NetConfig {
     }
 
     /// FNV-1a fingerprint of the architecture this configuration builds
-    /// for a `bins × frames` image — the compatibility key guarding
-    /// [`WeightState`](crate::WeightState) restores.
+    /// for a `bins × frames` image — the key the in-painter compares with
+    /// a resident net's
+    /// [`weight_fingerprint`](crate::DeepPriorNet::weight_fingerprint)
+    /// before resuming it warm.
     ///
-    /// `z_std` and `output_bias` are deliberately excluded: the noise code
-    /// is restored with the snapshot, and the output bias is itself a
-    /// trainable parameter — neither changes the *structure* a snapshot
-    /// must match. The in-painter re-derives `output_bias` per round, so
-    /// including it would spuriously invalidate every warm restore.
+    /// `z_std` and `output_bias` are deliberately excluded: the resident
+    /// net keeps its own noise code, and the output bias is itself a
+    /// trainable parameter — neither changes the *structure* a resident
+    /// net must match. The in-painter re-derives `output_bias` per round,
+    /// so including it would spuriously send every warm fit cold.
     pub fn architecture_fingerprint(&self, bins: usize, frames: usize) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |v: u64| {

@@ -42,7 +42,7 @@ mod net;
 
 pub use blocks::ConvKind;
 pub use config::{FitParams, NetConfig, WarmFitParams};
-pub use net::{DeepPriorNet, TrainReport, WeightState};
+pub use net::{DeepPriorNet, TrainReport};
 
 /// Errors from network construction.
 #[derive(Debug, Clone, PartialEq, Eq)]

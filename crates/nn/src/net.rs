@@ -19,35 +19,6 @@ pub struct TrainReport {
     pub iterations: usize,
 }
 
-/// A portable snapshot of a trained prior: every trainable parameter plus
-/// the fixed noise code `z`, in graph order.
-///
-/// The noise code travels with the weights on purpose — a deep prior's
-/// weights are tuned to *its* `z`; restoring one without the other lands
-/// far from the captured optimum. Snapshots are stored at `f32` (the
-/// serving precision) regardless of the precision they were captured from.
-///
-/// A `fingerprint` of the architecture (extents, channel plan, convolution
-/// flavour) guards restores: [`DeepPriorNet::restore_weights`] refuses a
-/// state captured from a structurally different network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightState {
-    fingerprint: u64,
-    tensors: Vec<Tensor<f32>>,
-}
-
-impl WeightState {
-    /// Architecture fingerprint this state was captured from.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Total number of scalars in the snapshot (parameters + noise code).
-    pub fn numel(&self) -> usize {
-        self.tensors.iter().map(Tensor::numel).sum()
-    }
-}
-
 /// A U-Net deep prior over a single `[1, F, T]` magnitude image.
 ///
 /// Construction follows the paper's Fig. 2: encoder levels of two
@@ -57,16 +28,15 @@ impl WeightState {
 /// only when [`NetConfig::freq_pool`] is set (Zhang-baseline ablation).
 ///
 /// The working precision is generic (default `f32`, the production path;
-/// `f64` is the accuracy reference). Weight snapshots move through
-/// [`WeightState`], enabling warm-started fine-tunes across streaming
-/// chunks via [`DeepPriorNet::fit_warm`].
+/// `f64` is the accuracy reference). A fitted net can stay resident and
+/// resume on the next streaming chunk with a bounded fine-tune,
+/// [`DeepPriorNet::fit_warm`].
 pub struct DeepPriorNet<S: Scalar = f32> {
     graph: Graph<S>,
     output: VarId,
     target: VarId,
     mask: VarId,
     loss: VarId,
-    z: VarId,
     bins: usize,
     frames: usize,
     fingerprint: u64,
@@ -153,7 +123,7 @@ impl<S: Scalar> DeepPriorNet<S> {
         let loss = g.mse_masked(output, target, mask);
 
         let fingerprint = cfg.architecture_fingerprint(bins, frames);
-        Ok(DeepPriorNet { graph: g, output, target, mask, loss, z, bins, frames, fingerprint })
+        Ok(DeepPriorNet { graph: g, output, target, mask, loss, bins, frames, fingerprint })
     }
 
     /// Number of trainable scalars.
@@ -171,7 +141,8 @@ impl<S: Scalar> DeepPriorNet<S> {
         self.frames
     }
 
-    /// Architecture fingerprint (see [`WeightState`]).
+    /// Architecture fingerprint of the extents this net was built for
+    /// ([`NetConfig::architecture_fingerprint`]).
     pub fn weight_fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -258,47 +229,6 @@ impl<S: Scalar> DeepPriorNet<S> {
         self.graph.forward();
         let final_loss = self.graph.value(self.loss).data()[0].to_f32();
         TrainReport { initial_loss, final_loss, iterations: steps }
-    }
-
-    /// Snapshots the trainable parameters and the noise code `z`.
-    pub fn capture_weights(&self) -> WeightState {
-        let mut tensors: Vec<Tensor<f32>> =
-            self.graph.params().iter().map(|&p| self.graph.value(p).cast()).collect();
-        tensors.push(self.graph.value(self.z).cast());
-        WeightState { fingerprint: self.fingerprint, tensors }
-    }
-
-    /// Overwrites the trainable parameters and noise code from a snapshot,
-    /// then re-runs the forward pass so the output image is consistent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] when the snapshot's fingerprint or
-    /// any tensor shape disagrees with this network — the caller should
-    /// fall back to a cold [`DeepPriorNet::fit`].
-    pub fn restore_weights(&mut self, state: &WeightState) -> Result<(), NnError> {
-        if state.fingerprint != self.fingerprint {
-            return Err(NnError::BadConfig("weight state fingerprint mismatch"));
-        }
-        let ids: Vec<VarId> = self.graph.params().to_vec();
-        if state.tensors.len() != ids.len() + 1 {
-            return Err(NnError::BadConfig("weight state tensor count mismatch"));
-        }
-        for (&id, t) in ids.iter().zip(&state.tensors) {
-            if self.graph.value(id).shape() != t.shape() {
-                return Err(NnError::BadConfig("weight state tensor shape mismatch"));
-            }
-        }
-        let z_state = state.tensors.last().expect("checked non-empty");
-        if self.graph.value(self.z).shape() != z_state.shape() {
-            return Err(NnError::BadConfig("weight state noise-code shape mismatch"));
-        }
-        for (&id, t) in ids.iter().zip(&state.tensors) {
-            self.graph.set_value(id, t.cast());
-        }
-        self.graph.set_value(self.z, z_state.cast());
-        self.graph.forward();
-        Ok(())
     }
 
     /// The network's current output image `[1, bins, frames]`
@@ -419,42 +349,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let net2: DeepPriorNet = DeepPriorNet::new(&tiny_cfg(), 16, 8, &mut rng).unwrap();
         assert_eq!(n1, net2.param_count(), "param count must not depend on rng");
-    }
-
-    #[test]
-    fn restored_net_reproduces_output_bitwise() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut a: DeepPriorNet = DeepPriorNet::new(&tiny_cfg(), 16, 8, &mut rng).unwrap();
-        let t = Tensor::filled(&[1, 16, 8], 0.4);
-        let mask = Tensor::filled(&[1, 16, 8], 1.0);
-        a.fit(&t, &mask, 25, 0.02);
-        let state = a.capture_weights();
-        assert!(state.numel() > a.param_count(), "snapshot must include z");
-
-        // A net from an unrelated seed adopts the snapshot wholesale
-        // (weights *and* noise code), so its output matches bit for bit.
-        let mut rng = StdRng::seed_from_u64(12345);
-        let mut b: DeepPriorNet = DeepPriorNet::new(&tiny_cfg(), 16, 8, &mut rng).unwrap();
-        assert_eq!(a.weight_fingerprint(), b.weight_fingerprint());
-        b.restore_weights(&state).unwrap();
-        assert_eq!(a.output_image().data(), b.output_image().data());
-    }
-
-    #[test]
-    fn restore_rejects_architecture_mismatch() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let donor: DeepPriorNet = DeepPriorNet::new(&tiny_cfg(), 16, 8, &mut rng).unwrap();
-        let state = donor.capture_weights();
-        // Different frame count → different fingerprint.
-        let mut other: DeepPriorNet = DeepPriorNet::new(&tiny_cfg(), 16, 16, &mut rng).unwrap();
-        assert!(other.restore_weights(&state).is_err());
-        // Different dilation → same shapes, still refused.
-        let cfg = NetConfig {
-            conv: ConvKind::Harmonic { harmonics: 3, kt: 3, anchor: 1, dil_t: 2 },
-            ..tiny_cfg()
-        };
-        let mut other: DeepPriorNet = DeepPriorNet::new(&cfg, 16, 8, &mut rng).unwrap();
-        assert!(other.restore_weights(&state).is_err());
     }
 
     #[test]

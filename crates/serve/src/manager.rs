@@ -993,52 +993,57 @@ mod tests {
     }
 
     #[test]
-    fn warm_pool_seeds_successor_sessions() {
+    fn warm_session_output_ignores_its_shards_history() {
         let fs = 100.0;
-        let n = 3000; // exactly one analysis chunk
-        let (mix, tracks) = make_mix(fs, n, 2);
-        // Deep-prior path with warm starting; one source keeps the
-        // debug-build fit budget small, and zero overlap makes the push
-        // exactly one fit (no shrunken flush chunk muddying the counts).
+        // Deep-prior path with warm starting. Zero overlap keeps every
+        // fit inside a full chunk: no shrunken flush chunk.
         let scfg = StreamingConfig::new(3000, 0, DhfConfig::fast()).unwrap().with_warm_start();
-        let tracks1 = [tracks[0].clone()];
-        let t: Vec<&[f64]> = tracks1.iter().map(Vec::as_slice).collect();
+        let serial_fits = |mix: &[f64], tracks: &[Vec<f64>]| {
+            let t: Vec<&[f64]> = tracks.iter().map(Vec::as_slice).collect();
+            let mut sep = StreamingSeparator::new(fs, 2, scfg.clone()).unwrap();
+            sep.push(mix, &t).unwrap();
+            sep.flush().unwrap();
+            (sep.warm_hits(), sep.cold_fits())
+        };
         let manager = SessionManager::new(ServeConfig::new(1).unwrap());
 
-        let id = manager.open(fs, 1, scfg.clone()).unwrap();
-        manager.push(id, &mix, &t).unwrap();
+        // A one-chunk predecessor carrying one NaN sample. Samples are not
+        // validated, so the push is accepted.
+        let (mut poisoned, tracks_a) = make_mix(fs, 3000, 2);
+        poisoned[1500] = f64::NAN;
+        let t: Vec<&[f64]> = tracks_a.iter().map(Vec::as_slice).collect();
+        let id = manager.open(fs, 2, scfg.clone()).unwrap();
+        manager.push(id, &poisoned, &t).unwrap();
         manager.close(id).unwrap();
-        let tele = manager.telemetry();
-        assert_eq!(tele.cold_fits(), 1, "the first session's only chunk trains cold");
-        assert_eq!(tele.warm_hits(), 0);
-        assert_eq!(tele.warm_pool_size(), 1, "close must park the trained weights");
 
-        // A same-shape successor adopts the parked weights, so even its
-        // *first* chunk fine-tunes warm; its close re-parks them.
-        let id = manager.open(fs, 1, scfg.clone()).unwrap();
+        // A clean two-chunk session on the same shard must serve exactly
+        // its serial run: nothing of the predecessor's fit carries over.
+        let (mix, tracks) = make_mix(fs, 6000, 3);
+        let (want, _) = serial_reference(fs, &mix, &tracks, &scfg);
+        let t: Vec<&[f64]> = tracks.iter().map(Vec::as_slice).collect();
+        let id = manager.open(fs, 2, scfg.clone()).unwrap();
         manager.push(id, &mix, &t).unwrap();
-        manager.close(id).unwrap();
-        let tele = manager.telemetry();
-        assert_eq!(tele.warm_hits(), 1, "the successor's first chunk must resume warm");
-        assert_eq!(tele.cold_fits(), 1);
-        assert_eq!(tele.warm_pool_size(), 1);
+        let mut got = vec![Vec::new(); 2];
+        for b in manager.close(id).unwrap().blocks {
+            for (src, est) in b.sources.iter().enumerate() {
+                got[src].extend_from_slice(est);
+            }
+        }
+        assert_eq!(got, want, "served output must be bit-identical to the serial run");
 
-        // A different-shape session (here: another sample rate) leaves
-        // the pool alone.
-        let id = manager.open(101.0, 1, scfg).unwrap();
-        manager.push(id, &mix, &t).unwrap();
-        manager.close(id).unwrap();
+        // Warm and cold fits are those of the two serial runs, and both
+        // exporters carry them.
+        let (warm_a, cold_a) = serial_fits(&poisoned, &tracks_a);
+        let (warm_b, cold_b) = serial_fits(&mix, &tracks);
+        let (warm, cold) = (warm_a + warm_b, cold_a + cold_b);
+        assert!(warm > 0 && cold > 0, "fixture must exercise warm and cold fits");
         let tele = manager.telemetry();
-        assert_eq!(tele.cold_fits(), 2, "a different shape must not adopt pooled weights");
-        assert_eq!(tele.warm_pool_size(), 2, "each shape parks its own snapshots");
-
-        // The counters surface in both exporters.
+        assert_eq!((tele.warm_hits(), tele.cold_fits()), (warm, cold));
         let table = tele.to_string();
         assert!(table.contains("warm"), "Display table must carry the warm column:\n{table}");
         let prom = tele.prometheus();
-        assert!(prom.contains("dhf_warm_fits_total{shard=\"0\"} 1"));
-        assert!(prom.contains("dhf_cold_fits_total{shard=\"0\"} 2"));
-        assert!(prom.contains("dhf_warm_pool_size{shard=\"0\"} 2"));
+        assert!(prom.contains(&format!("dhf_warm_fits_total{{shard=\"0\"}} {warm}")));
+        assert!(prom.contains(&format!("dhf_cold_fits_total{{shard=\"0\"}} {cold}")));
     }
 
     /// Shared oximetry fixture: a short desaturation recording plus the

@@ -16,9 +16,8 @@
 use crate::session::{SessionKind, SessionShared};
 use crate::telemetry::ShardCounters;
 use crate::CloseOutcome;
-use dhf_nn::WeightState;
 use dhf_oximetry::{OximetryError, Spo2Sample, StreamingOximeter};
-use dhf_stream::{StreamError, StreamingConfig, StreamingSeparator};
+use dhf_stream::{StreamError, StreamingSeparator};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
@@ -88,84 +87,6 @@ impl Engine {
             Engine::Separation(sep) => sep.cold_fits(),
             Engine::Oximetry(ox) => ox.cold_fits(),
         }
-    }
-}
-
-/// Per-shard pool of warm deep-prior weights captured from closed
-/// sessions, keyed by session shape. A new session of the same shape
-/// adopts a parked snapshot set at open, so its *first* chunk already
-/// fine-tunes instead of training from scratch — the cross-session
-/// analogue of the within-session warm carry.
-///
-/// Snapshot adoption is architecture-guarded downstream (a mismatched
-/// snapshot is ignored at fit time with a cold fallback), so pooling is a
-/// pure hint: a wrong match costs nothing but the missed shortcut.
-#[derive(Default)]
-pub(crate) struct WarmPool {
-    entries: Vec<WarmPoolEntry>,
-}
-
-/// Parked snapshot sets for one session shape. Keys are compared
-/// structurally (the pool is short — linear scan).
-struct WarmPoolEntry {
-    fs_bits: u64,
-    n_sources: usize,
-    cfg: StreamingConfig,
-    /// LIFO of captured per-source snapshot sets (most recently closed
-    /// session first — its weights are the freshest).
-    sets: Vec<Vec<(usize, WeightState)>>,
-}
-
-/// Parked snapshot sets per shape — bounds pool memory under session
-/// churn; the oldest sets are evicted first.
-const WARM_POOL_PER_SHAPE: usize = 4;
-
-impl WarmPool {
-    fn position(&self, fs: f64, n_sources: usize, cfg: &StreamingConfig) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.fs_bits == fs.to_bits() && e.n_sources == n_sources && &e.cfg == cfg)
-    }
-
-    /// Parks a closed session's snapshot set.
-    fn put(&mut self, sep: &StreamingSeparator, set: Vec<(usize, WeightState)>) {
-        let (fs, n) = (sep.sample_rate(), sep.n_sources());
-        let entry = match self.position(fs, n, sep.config()) {
-            Some(i) => &mut self.entries[i],
-            None => {
-                self.entries.push(WarmPoolEntry {
-                    fs_bits: fs.to_bits(),
-                    n_sources: n,
-                    cfg: sep.config().clone(),
-                    sets: Vec::new(),
-                });
-                self.entries.last_mut().expect("just pushed")
-            }
-        };
-        if entry.sets.len() == WARM_POOL_PER_SHAPE {
-            entry.sets.remove(0);
-        }
-        entry.sets.push(set);
-    }
-
-    /// Takes the freshest parked snapshot set matching the session shape.
-    fn take(&mut self, sep: &StreamingSeparator) -> Option<Vec<(usize, WeightState)>> {
-        let i = self.position(sep.sample_rate(), sep.n_sources(), sep.config())?;
-        let set = self.entries[i].sets.pop();
-        if self.entries[i].sets.is_empty() {
-            self.entries.remove(i);
-        }
-        set
-    }
-
-    /// Total parked snapshots across shapes (the telemetry gauge).
-    fn snapshots(&self) -> u64 {
-        self.entries.iter().flat_map(|e| e.sets.iter()).map(|s| s.len() as u64).sum()
-    }
-
-    /// Publishes the pool-size gauge.
-    fn publish(&self, counters: &ShardCounters) {
-        counters.warm_pool_size.store(self.snapshots(), Ordering::Relaxed);
     }
 }
 
@@ -281,7 +202,6 @@ fn book_plan_delta(ws: &mut WorkerSession, counters: &ShardCounters) {
 /// The worker run loop. Exits when `stop` is set and no commands remain.
 pub(crate) fn run_worker(shared: Arc<ShardShared>, counters: Arc<ShardCounters>) {
     let mut sessions: HashMap<u64, WorkerSession> = HashMap::new();
-    let mut warm_pool = WarmPool::default();
     loop {
         let (commands, mut batches, stop) = {
             let mut st = shared.state.lock().unwrap();
@@ -316,19 +236,7 @@ pub(crate) fn run_worker(shared: Arc<ShardShared>, counters: Arc<ShardCounters>)
         // per-session ordering is preserved without cross-checks.
         for cmd in commands {
             match cmd {
-                Command::Open { id, mut engine, shared } => {
-                    // Seed a warm session from the pool: the freshest
-                    // snapshot set a same-shape closed session left
-                    // behind lets the first chunk fine-tune instead of
-                    // training cold.
-                    if let Engine::Separation(sep) = &mut engine {
-                        if sep.config().warm_start().is_some() {
-                            if let Some(set) = warm_pool.take(sep) {
-                                sep.import_warm_state(set);
-                                warm_pool.publish(&counters);
-                            }
-                        }
-                    }
+                Command::Open { id, engine, shared } => {
                     let ws = WorkerSession {
                         engine,
                         shared,
@@ -346,19 +254,6 @@ pub(crate) fn run_worker(shared: Arc<ShardShared>, counters: Arc<ShardCounters>)
                     let outcome = match sessions.remove(&id) {
                         Some(mut ws) => {
                             let out = close_session(&mut ws, leftovers, &counters);
-                            // Park the session's trained weights for the
-                            // next same-shape session (healthy sessions
-                            // only — a failed stream's weights may track
-                            // a corrupt target).
-                            if !ws.failed {
-                                if let Engine::Separation(sep) = &ws.engine {
-                                    let set = sep.export_warm_state();
-                                    if !set.is_empty() {
-                                        warm_pool.put(sep, set);
-                                        warm_pool.publish(&counters);
-                                    }
-                                }
-                            }
                             // Drain before acking: a telemetry snapshot
                             // taken right after close() returns must see
                             // the spans the close just produced.

@@ -29,9 +29,6 @@ pub(crate) struct ShardCounters {
     pub(crate) warm_hits: AtomicU64,
     /// Deep-prior fits trained from scratch.
     pub(crate) cold_fits: AtomicU64,
-    /// Weight snapshots currently parked in this shard's warm pool,
-    /// awaiting a compatible new session.
-    pub(crate) warm_pool_size: AtomicU64,
     /// Nanoseconds since `t0` at which the worker last finished a packet
     /// (0 = never). Advanced with one relaxed `fetch_max` per packet;
     /// bounds the *active* window for throughput so idle tails (a
@@ -65,7 +62,6 @@ impl ShardCounters {
             plans_built: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
             cold_fits: AtomicU64::new(0),
-            warm_pool_size: AtomicU64::new(0),
             last_activity_nanos: AtomicU64::new(0),
             queue_depth_hwm: HighWatermark::new(),
             batch_packets_hwm: HighWatermark::new(),
@@ -111,7 +107,6 @@ impl ShardCounters {
             plans_built: self.plans_built.load(Ordering::Relaxed),
             warm_hits: self.warm_hits.load(Ordering::Relaxed),
             cold_fits: self.cold_fits.load(Ordering::Relaxed),
-            warm_pool_size: self.warm_pool_size.load(Ordering::Relaxed),
             active_secs,
             samples_per_sec: if active_secs > 0.0 { samples_out as f64 / active_secs } else { 0.0 },
             queue_depth_hwm: self.queue_depth_hwm.get(),
@@ -242,20 +237,14 @@ pub struct ShardSnapshot {
     /// (and the SoA spectrogram workspace) built by its session's first
     /// chunk, so the gauge plateaus once sessions are warm.
     pub plans_built: u64,
-    /// Deep-prior fits this shard's engines resumed warm from a previous
-    /// chunk's (or a pooled predecessor session's) weights. Zero unless
-    /// sessions enable warm starting
+    /// Deep-prior fits this shard's engines resumed warm from the same
+    /// session's previous chunk. Zero unless sessions enable warm starting
     /// ([`dhf_stream::StreamingConfig::with_warm_start`]).
     pub warm_hits: u64,
     /// Deep-prior fits this shard's engines trained from scratch (every
     /// fit when warm starting is off; first chunks and discontinuity
     /// fallbacks when it is on).
     pub cold_fits: u64,
-    /// Weight snapshots currently parked in the shard's warm pool:
-    /// captured from closed warm sessions, waiting to seed the next
-    /// session opened with the same shape (sample rate, source count,
-    /// streaming configuration).
-    pub warm_pool_size: u64,
     /// Length of the shard's *active* window in seconds: manager start
     /// until the worker last finished a packet (0 while nothing has been
     /// processed), clamped to the snapshot's wall clock.
@@ -340,11 +329,6 @@ impl Telemetry {
     /// Total deep-prior fits trained from scratch across shards.
     pub fn cold_fits(&self) -> u64 {
         self.shards.iter().map(|s| s.cold_fits).sum()
-    }
-
-    /// Total weight snapshots parked in shard warm pools right now.
-    pub fn warm_pool_size(&self) -> u64 {
-        self.shards.iter().map(|s| s.warm_pool_size).sum()
     }
 
     /// All shards' SpO2 trend statistics merged into one fleet-wide view.
@@ -478,9 +462,6 @@ impl Telemetry {
             Gauge("dhf_batch_sessions_hwm", "Largest session batch one wakeup drained", |s| {
                 s.batch_sessions_hwm as f64
             }),
-            Gauge("dhf_warm_pool_size", "Weight snapshots parked in the shard warm pool", |s| {
-                s.warm_pool_size as f64
-            }),
         ];
         for Gauge(name, help, get) in gauges {
             prom.help(name, help, "gauge");
@@ -518,7 +499,7 @@ impl std::fmt::Display for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "{:>5} {:>8} {:>10} {:>12} {:>12} {:>9} {:>8} {:>8} {:>7} {:>6} {:>6} {:>6} {:>7}",
+            "{:>5} {:>8} {:>10} {:>12} {:>12} {:>9} {:>8} {:>8} {:>7} {:>6} {:>6} {:>7}",
             "shard",
             "sessions",
             "queue",
@@ -530,14 +511,12 @@ impl std::fmt::Display for Telemetry {
             "plans",
             "warm",
             "cold",
-            "pool",
             "spo2",
         )?;
         for s in &self.shards {
             writeln!(
                 f,
-                "{:>5} {:>8} {:>10} {:>12.0} {:>12} {:>9} {:>8} {:>8} {:>7} {:>6} {:>6} {:>6} \
-                 {:>7}",
+                "{:>5} {:>8} {:>10} {:>12.0} {:>12} {:>9} {:>8} {:>8} {:>7} {:>6} {:>6} {:>7}",
                 s.shard,
                 s.open_sessions,
                 s.queue_depth_samples,
@@ -549,7 +528,6 @@ impl std::fmt::Display for Telemetry {
                 s.plans_built,
                 s.warm_hits,
                 s.cold_fits,
-                s.warm_pool_size,
                 s.spo2_updates,
             )?;
         }
@@ -560,14 +538,13 @@ impl std::fmt::Display for Telemetry {
         writeln!(
             f,
             "total: {:.0} samples/s over {:.2} s active ({:.2} s wall); {} plans; \
-             {} warm / {} cold fits ({} pooled); latency p50 {} / p95 {} / p99 {}",
+             {} warm / {} cold fits; latency p50 {} / p95 {} / p99 {}",
             self.samples_per_sec(),
             self.active_secs(),
             self.elapsed.as_secs_f64(),
             self.plans_built(),
             self.warm_hits(),
             self.cold_fits(),
-            self.warm_pool_size(),
             fmt_ms(self.latency_percentile(50.0)),
             fmt_ms(self.latency_percentile(95.0)),
             fmt_ms(self.latency_percentile(99.0)),

@@ -180,16 +180,6 @@ impl StreamingSeparator {
         &self.cfg
     }
 
-    /// Sample rate the session was opened with.
-    pub fn sample_rate(&self) -> f64 {
-        self.fs
-    }
-
-    /// Number of sources the session separates.
-    pub fn n_sources(&self) -> usize {
-        self.n_sources
-    }
-
     /// Total samples ingested so far.
     pub fn samples_ingested(&self) -> usize {
         self.ingested
@@ -223,21 +213,6 @@ impl StreamingSeparator {
     /// chunk can resume.
     pub fn warm_resident(&self) -> usize {
         self.ctx.warm_resident()
-    }
-
-    /// Snapshots every resident warm net as `(source index, weights)`
-    /// pairs — the hand-off format for serving runtimes that pool warm
-    /// state across recycled sessions.
-    pub fn export_warm_state(&self) -> Vec<(usize, dhf_nn::WeightState)> {
-        self.ctx.export_warm_state()
-    }
-
-    /// Seeds per-source warm state captured from a compatible earlier
-    /// session. Snapshots whose architecture does not match the nets this
-    /// session builds are ignored at fit time (cold fallback), never
-    /// adopted wrongly.
-    pub fn import_warm_state(&mut self, state: Vec<(usize, dhf_nn::WeightState)>) {
-        self.ctx.import_warm_state(state);
     }
 
     /// Rewinds the session to a fresh stream at position 0, discarding all
@@ -618,27 +593,6 @@ mod tests {
             }
         }
         assert_eq!(reused, fresh, "warm state must not leak across reset");
-    }
-
-    #[test]
-    fn exported_warm_state_warms_a_fresh_session() {
-        let fs = 100.0;
-        let n = 3000; // exactly one chunk
-        let (mix, _, _, tracks) = make_mix(fs, n);
-        let cfg = warm_stream_cfg(3000, 400);
-        let refs: [&[f64]; 1] = [&tracks[0]];
-
-        let mut donor = StreamingSeparator::new(fs, 1, cfg.clone()).unwrap();
-        donor.push(&mix, &refs).unwrap();
-        assert_eq!(donor.cold_fits(), 1);
-        let state = donor.export_warm_state();
-        assert_eq!(state.len(), 1, "the trained net must be exportable");
-
-        let mut warmed = StreamingSeparator::new(fs, 1, cfg).unwrap();
-        warmed.import_warm_state(state);
-        warmed.push(&mix, &refs).unwrap();
-        assert_eq!(warmed.cold_fits(), 0, "the seeded snapshot must be adopted");
-        assert_eq!(warmed.warm_hits(), 1);
     }
 
     #[test]

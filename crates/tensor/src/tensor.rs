@@ -164,14 +164,6 @@ impl<S: Scalar> Tensor<S> {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&v| f(v)).collect() }
     }
 
-    /// Converts every element into another precision.
-    pub fn cast<T: Scalar>(&self) -> Tensor<T> {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&v| T::from_f64(v.to_f64())).collect(),
-        }
-    }
-
     /// Sets every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = S::ZERO);
@@ -260,14 +252,6 @@ mod tests {
         for (&x, &y) in a.data().iter().zip(b.data()) {
             assert_eq!(x as f64, y);
         }
-    }
-
-    #[test]
-    fn cast_round_trips_f32_exactly() {
-        let t: Tensor<f32> = Tensor::from_vec(&[3], vec![0.1, -2.5, 3.0e-20]);
-        let wide: Tensor<f64> = t.cast();
-        let back: Tensor<f32> = wide.cast();
-        assert_eq!(t, back);
     }
 
     #[test]

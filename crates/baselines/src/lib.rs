@@ -51,6 +51,8 @@ pub mod nmf;
 pub mod repet;
 pub mod vmd;
 
+use dhf_dsp::tracks::{check_tracks, TrackError};
+
 /// Errors shared by the baseline separators.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BaselineError {
@@ -61,15 +63,9 @@ pub enum BaselineError {
         /// Samples provided.
         got: usize,
     },
-    /// No fundamental-frequency tracks were provided.
-    MissingTracks,
-    /// A track's length does not match the signal.
-    TrackLengthMismatch {
-        /// Samples in the signal.
-        signal: usize,
-        /// Samples in the offending track.
-        track: usize,
-    },
+    /// The f0 tracks break the track contract ([`check_tracks`]), or
+    /// leave a method nothing to work with.
+    Tracks(TrackError),
     /// An internal DSP step failed.
     Dsp(String),
 }
@@ -80,16 +76,19 @@ impl std::fmt::Display for BaselineError {
             BaselineError::InputTooShort { needed, got } => {
                 write!(f, "input too short: need {needed} samples, got {got}")
             }
-            BaselineError::MissingTracks => write!(f, "no fundamental-frequency tracks given"),
-            BaselineError::TrackLengthMismatch { signal, track } => {
-                write!(f, "track length {track} does not match signal length {signal}")
-            }
+            BaselineError::Tracks(e) => write!(f, "invalid f0 tracks: {e}"),
             BaselineError::Dsp(msg) => write!(f, "dsp failure: {msg}"),
         }
     }
 }
 
 impl std::error::Error for BaselineError {}
+
+impl From<TrackError> for BaselineError {
+    fn from(e: TrackError) -> Self {
+        BaselineError::Tracks(e)
+    }
+}
 
 impl From<dhf_dsp::DspError> for BaselineError {
     fn from(e: dhf_dsp::DspError) -> Self {
@@ -125,25 +124,13 @@ impl<'a> SeparationContext<'a> {
         }
     }
 
-    /// Validates tracks against a signal length.
+    /// Checks the tracks against a signal length with [`check_tracks`].
     ///
     /// # Errors
     ///
-    /// Returns [`BaselineError::MissingTracks`] or
-    /// [`BaselineError::TrackLengthMismatch`].
+    /// Returns [`BaselineError::Tracks`] with the first violation.
     pub fn validate(&self, signal_len: usize) -> Result<(), BaselineError> {
-        if self.f0_tracks.is_empty() {
-            return Err(BaselineError::MissingTracks);
-        }
-        for t in self.f0_tracks {
-            if t.len() != signal_len {
-                return Err(BaselineError::TrackLengthMismatch {
-                    signal: signal_len,
-                    track: t.len(),
-                });
-            }
-        }
-        Ok(())
+        Ok(check_tracks(self.f0_tracks.len(), signal_len, self.f0_tracks)?)
     }
 }
 
@@ -184,14 +171,46 @@ mod tests {
     fn context_validation() {
         let empty: Vec<Vec<f64>> = vec![];
         let ctx = SeparationContext { fs: 1.0, f0_tracks: &empty };
-        assert_eq!(ctx.validate(10), Err(BaselineError::MissingTracks));
+        assert_eq!(ctx.validate(10), Err(BaselineError::Tracks(TrackError::Missing)));
         let bad = vec![vec![1.0; 5]];
         let ctx = SeparationContext { fs: 1.0, f0_tracks: &bad };
-        assert!(matches!(
+        assert_eq!(
             ctx.validate(10),
-            Err(BaselineError::TrackLengthMismatch { signal: 10, track: 5 })
-        ));
+            Err(BaselineError::Tracks(TrackError::Length { track: 0, expected: 10, got: 5 }))
+        );
         assert!(ctx.validate(5).is_ok());
+    }
+
+    #[test]
+    fn every_separator_rejects_a_non_finite_track_value() {
+        let fs = 100.0;
+        let n = 3000;
+        let mixed: Vec<f64> = (0..n)
+            .map(|i| {
+                let t = i as f64 / fs;
+                (std::f64::consts::TAU * 1.2 * t).sin()
+                    + 0.3 * (std::f64::consts::TAU * 2.4 * t).sin()
+            })
+            .collect();
+        let mut tracks = vec![vec![1.2; n], vec![2.4; n]];
+        tracks[0][1500] = f64::NAN;
+        let ctx = SeparationContext { fs, f0_tracks: &tracks };
+        let separators: [&dyn Separator; 6] = [
+            &masking::SpectralMasking::default(),
+            &vmd::Vmd::default(),
+            &nmf::Nmf::default(),
+            &repet::Repet::default(),
+            &repet::RepetExtended::default(),
+            &emd::Emd::default(),
+        ];
+        for sep in separators {
+            assert_eq!(
+                sep.separate(&mixed, &ctx),
+                Err(BaselineError::Tracks(TrackError::Value { track: 0, sample: 1500 })),
+                "{}",
+                sep.name()
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::assignment::assign_components;
 use crate::{BaselineError, SeparationContext, Separator};
 use dhf_dsp::complex::Complex;
 use dhf_dsp::fft::{fft, ifft};
+use dhf_dsp::tracks::TrackError;
 
 /// VMD separator.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,7 +165,8 @@ impl Separator for Vmd {
         }
         let init = self.init_frequencies(ctx);
         if init.is_empty() {
-            return Err(BaselineError::MissingTracks);
+            // No harmonic of any track lies below 0.49·fs: no mode to seed.
+            return Err(BaselineError::Tracks(TrackError::Missing));
         }
         let (modes, _centres) = self.decompose(mixed, ctx.fs, &init);
         let f0s: Vec<f64> = (0..ctx.num_sources()).map(|i| ctx.mean_f0(i)).collect();

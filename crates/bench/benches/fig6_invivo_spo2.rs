@@ -11,8 +11,7 @@
 use dhf_baselines::{masking::SpectralMasking, SeparationContext, Separator};
 use dhf_bench::{bench_dhf_config, dhf_iterations, env_f64, fast_mode, Stopwatch};
 use dhf_core::RoundContext;
-use dhf_metrics::pearson;
-use dhf_oximetry::{ac_amplitude, dc_level, modulation_ratio, Calibration};
+use dhf_oximetry::{ac_amplitude, dc_level, modulation_ratio, spo2_correlation};
 use dhf_synth::invivo::{simulate, InvivoConfig, TfoRecording};
 
 /// Extracts the fetal AC estimate for one analysis window on one channel.
@@ -76,9 +75,7 @@ fn evaluate_sheep(recording: &TfoRecording, method: &str, iterations: usize) -> 
         ratios.push(modulation_ratio(ac[0], dc[0], ac[1], dc[1]));
         sao2.push(draw.sao2);
     }
-    let cal = Calibration::fit(&ratios, &sao2);
-    let pred = cal.predict_many(&ratios);
-    (pearson(&pred, &sao2), ratios)
+    (spo2_correlation(&ratios, &sao2), ratios)
 }
 
 fn main() {

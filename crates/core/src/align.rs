@@ -10,6 +10,7 @@
 use crate::DhfError;
 use dhf_dsp::interp::{linear_interp, Pchip};
 use dhf_dsp::phase::cumulative_phase;
+use dhf_dsp::tracks::{check_tracks, TrackError};
 
 /// A signal unwarped with respect to one source's fundamental track.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,15 +53,13 @@ impl PatternAligner {
     ///
     /// # Errors
     ///
-    /// Returns [`DhfError::NonPositiveFrequency`] if the track contains a
-    /// non-positive value, and [`DhfError::MissingTracks`] if it is empty.
+    /// Returns [`DhfError::InputTooShort`] if the track is empty, and
+    /// [`DhfError::Tracks`] if it holds a non-positive or non-finite value.
     pub fn new(f0_track: &[f64], fs: f64, fs_prime: f64) -> Result<Self, DhfError> {
         if f0_track.is_empty() {
-            return Err(DhfError::MissingTracks);
+            return Err(DhfError::InputTooShort { needed: 1, got: 0 });
         }
-        if f0_track.iter().any(|&f| f <= 0.0) {
-            return Err(DhfError::NonPositiveFrequency);
-        }
+        check_tracks(1, f0_track.len(), &[f0_track])?;
         let phase = cumulative_phase(f0_track, fs);
         let cycles: Vec<f64> = phase.iter().map(|&p| p / std::f64::consts::TAU).collect();
         let times: Vec<f64> = (0..f0_track.len()).map(|n| n as f64 / fs).collect();
@@ -91,14 +90,15 @@ impl PatternAligner {
     ///
     /// # Errors
     ///
-    /// Returns [`DhfError::TrackLengthMismatch`] if `signal` does not
-    /// match the track length.
+    /// Returns [`DhfError::Tracks`] if `signal` does not match the track
+    /// length.
     pub fn unwarp(&self, signal: &[f64]) -> Result<UnwarpedSignal, DhfError> {
         if signal.len() != self.times.len() {
-            return Err(DhfError::TrackLengthMismatch {
-                signal: signal.len(),
-                track: self.times.len(),
-            });
+            return Err(DhfError::Tracks(TrackError::Length {
+                track: 0,
+                expected: signal.len(),
+                got: self.times.len(),
+            }));
         }
         let m = self.unwarped_len();
         // Eq. 5–6: uniform phase grid → timestamps. The phase is smooth
@@ -267,11 +267,19 @@ mod tests {
 
     #[test]
     fn constructor_validates_track() {
-        assert!(matches!(PatternAligner::new(&[], 100.0, 16.0), Err(DhfError::MissingTracks)));
         assert!(matches!(
-            PatternAligner::new(&[1.0, 0.0], 100.0, 16.0),
-            Err(DhfError::NonPositiveFrequency)
+            PatternAligner::new(&[], 100.0, 16.0),
+            Err(DhfError::InputTooShort { needed: 1, got: 0 })
         ));
+        for (sample, v) in [(1, 0.0), (2, f64::NAN), (3, f64::INFINITY)] {
+            let mut track = vec![1.0; 5];
+            track[sample] = v;
+            assert_eq!(
+                PatternAligner::new(&track, 100.0, 16.0),
+                Err(DhfError::Tracks(TrackError::Value { track: 0, sample })),
+                "value {v}"
+            );
+        }
     }
 
     #[test]
@@ -279,7 +287,7 @@ mod tests {
         let aligner = PatternAligner::new(&[1.0; 100], 100.0, 16.0).unwrap();
         assert!(matches!(
             aligner.unwarp(&[0.0; 50]),
-            Err(DhfError::TrackLengthMismatch { signal: 50, track: 100 })
+            Err(DhfError::Tracks(TrackError::Length { track: 0, expected: 50, got: 100 }))
         ));
     }
 }

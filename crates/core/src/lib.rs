@@ -61,9 +61,9 @@ pub mod pipeline;
 pub use align::{PatternAligner, UnwarpedSignal};
 pub use inpaint::{InpaintConfig, InpaintMethod, WarmEvent, WarmSlot};
 pub use mask::HarmonicMask;
-pub use pipeline::{
-    separate, validate_tracks, DhfConfig, RoundContext, RoundReport, SeparationResult,
-};
+pub use pipeline::{separate, DhfConfig, RoundContext, RoundReport, SeparationResult};
+
+use dhf_dsp::tracks::TrackError;
 
 /// Errors from the DHF pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,28 +76,11 @@ pub enum DhfError {
         /// Available unwarped samples.
         got: usize,
     },
-    /// No fundamental-frequency tracks supplied.
-    MissingTracks,
-    /// A track's length does not match the signal.
-    TrackLengthMismatch {
-        /// Samples in the signal.
-        signal: usize,
-        /// Samples in the offending track.
-        track: usize,
-    },
-    /// A track contains non-positive frequencies.
+    /// The f0 tracks break the track contract
+    /// ([`check_tracks`](dhf_dsp::tracks::check_tracks)).
+    Tracks(TrackError),
+    /// The [`f0::F0Estimator`] search band violates `0 < f_min < f_max`.
     NonPositiveFrequency,
-    /// Up-front track validation found a non-positive (or non-finite)
-    /// frequency, with its exact location. Unlike
-    /// [`DhfError::NonPositiveFrequency`] (raised from deep inside the
-    /// aligner), this is reported by [`pipeline::validate_tracks`] before
-    /// any separation round runs.
-    NonPositiveTrackValue {
-        /// Index of the offending track (source).
-        track: usize,
-        /// Sample index of the first offending value.
-        sample: usize,
-    },
     /// Underlying DSP failure.
     Dsp(String),
     /// Underlying network-construction failure.
@@ -110,19 +93,9 @@ impl std::fmt::Display for DhfError {
             DhfError::InputTooShort { needed, got } => {
                 write!(f, "input too short: need {needed} unwarped samples, got {got}")
             }
-            DhfError::MissingTracks => write!(f, "no fundamental-frequency tracks given"),
-            DhfError::TrackLengthMismatch { signal, track } => {
-                write!(f, "track length {track} does not match signal length {signal}")
-            }
+            DhfError::Tracks(e) => write!(f, "invalid f0 tracks: {e}"),
             DhfError::NonPositiveFrequency => {
-                write!(f, "fundamental-frequency tracks must be strictly positive")
-            }
-            DhfError::NonPositiveTrackValue { track, sample } => {
-                write!(
-                    f,
-                    "f0 track {track} has a non-positive or non-finite value at sample {sample}; \
-                     tracks must be strictly positive"
-                )
+                write!(f, "f0 search band must satisfy 0 < f_min < f_max")
             }
             DhfError::Dsp(msg) => write!(f, "dsp failure: {msg}"),
             DhfError::Net(msg) => write!(f, "network failure: {msg}"),
@@ -131,6 +104,12 @@ impl std::fmt::Display for DhfError {
 }
 
 impl std::error::Error for DhfError {}
+
+impl From<TrackError> for DhfError {
+    fn from(e: TrackError) -> Self {
+        DhfError::Tracks(e)
+    }
+}
 
 impl From<dhf_dsp::DspError> for DhfError {
     fn from(e: dhf_dsp::DspError) -> Self {

@@ -6,6 +6,7 @@ use crate::mask::{target_comb_gain, HarmonicMask};
 use crate::phase::reconstruct_hidden_cells;
 use crate::DhfError;
 use dhf_dsp::stft::{Spectrogram, StftConfig, StftEngine};
+use dhf_dsp::tracks::check_tracks;
 use dhf_dsp::Complex;
 use dhf_nn::{ConvKind, NetConfig, TrainReport};
 
@@ -136,43 +137,18 @@ pub struct SeparationResult {
     pub rounds: Vec<RoundReport>,
 }
 
-/// Validates the f0 tracks for a `mixed` signal: at least one track, every
-/// track as long as the signal, every value strictly positive and finite.
-///
-/// Called up front by [`separate`] (and the streaming engine) so that bad
-/// tracks fail fast with a precise location instead of surfacing from deep
-/// inside a later round, after earlier rounds have already spent their
-/// deep-prior training budget. Tracks may be owned (`&[Vec<f64>]`) or
-/// borrowed windows of longer tracks (`&[&[f64]]`, the streaming engine's
-/// chunks).
-pub fn validate_tracks<T: AsRef<[f64]>>(mixed_len: usize, f0_tracks: &[T]) -> Result<(), DhfError> {
-    if f0_tracks.is_empty() {
-        return Err(DhfError::MissingTracks);
-    }
-    for (ti, t) in f0_tracks.iter().enumerate() {
-        let t = t.as_ref();
-        if t.len() != mixed_len {
-            return Err(DhfError::TrackLengthMismatch { signal: mixed_len, track: t.len() });
-        }
-        if let Some(sample) = t.iter().position(|&f| !f.is_finite() || f <= 0.0) {
-            return Err(DhfError::NonPositiveTrackValue { track: ti, sample });
-        }
-    }
-    Ok(())
-}
-
 /// Runs the full iterative DHF separation.
 ///
 /// `f0_tracks` holds one fundamental-frequency track per source (one
-/// value per sample, strictly positive). All tracks are validated up
-/// front: a non-positive or non-finite frequency anywhere in any track
-/// fails immediately with [`DhfError::NonPositiveTrackValue`] before any
-/// round runs.
+/// value per sample, strictly positive). All tracks are checked up
+/// front with [`check_tracks`], so a bad track fails with its exact
+/// location before any round spends its deep-prior budget.
 ///
 /// # Errors
 ///
-/// Returns [`DhfError`] variants for missing/mismatched/non-positive
-/// tracks, or signals too short to unwarp into one analysis window.
+/// Returns [`DhfError::Tracks`] for tracks that break the contract, or
+/// [`DhfError::InputTooShort`] for signals too short to unwarp into one
+/// analysis window.
 pub fn separate(
     mixed: &[f64],
     fs: f64,
@@ -342,7 +318,7 @@ impl RoundContext {
     ) -> Result<SeparationResult, DhfError> {
         {
             let _span = dhf_obs::span(dhf_obs::Stage::TrackValidate);
-            validate_tracks(mixed.len(), f0_tracks)?;
+            check_tracks(f0_tracks.len(), mixed.len(), f0_tracks)?;
         }
 
         let order = self.peel_order(mixed, fs, f0_tracks);
@@ -600,6 +576,7 @@ impl RoundContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhf_dsp::tracks::TrackError;
     use dhf_metrics::{sdr_db, si_sdr_db};
 
     /// Quasi-periodic two-source mix with frequency variation and
@@ -703,11 +680,14 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let cfg = DhfConfig::fast();
-        assert!(matches!(separate(&[0.0; 100], 100.0, &[], &cfg), Err(DhfError::MissingTracks)));
+        assert!(matches!(
+            separate(&[0.0; 100], 100.0, &[], &cfg),
+            Err(DhfError::Tracks(TrackError::Missing))
+        ));
         let bad = vec![vec![1.0; 50]];
         assert!(matches!(
             separate(&[0.0; 100], 100.0, &bad, &cfg),
-            Err(DhfError::TrackLengthMismatch { .. })
+            Err(DhfError::Tracks(TrackError::Length { track: 0, expected: 100, got: 50 }))
         ));
         // Too short to unwarp into one window.
         let short_tracks = vec![vec![1.0; 100]];
@@ -730,7 +710,7 @@ mod tests {
         bad[1][1234] = 0.0;
         assert!(matches!(
             separate(&mix, fs, &bad, &DhfConfig::fast()),
-            Err(DhfError::NonPositiveTrackValue { track: 1, sample: 1234 })
+            Err(DhfError::Tracks(TrackError::Value { track: 1, sample: 1234 }))
         ));
 
         // Non-finite values are rejected by the same gate.
@@ -738,17 +718,14 @@ mod tests {
         nan[0][7] = f64::NAN;
         assert!(matches!(
             separate(&mix, fs, &nan, &DhfConfig::fast()),
-            Err(DhfError::NonPositiveTrackValue { track: 0, sample: 7 })
+            Err(DhfError::Tracks(TrackError::Value { track: 0, sample: 7 }))
         ));
         let mut neg = tracks;
         neg[0][0] = -1.3;
         assert!(matches!(
-            validate_tracks(n, &neg),
-            Err(DhfError::NonPositiveTrackValue { track: 0, sample: 0 })
+            separate(&mix, fs, &neg, &DhfConfig::fast()),
+            Err(DhfError::Tracks(TrackError::Value { track: 0, sample: 0 }))
         ));
-
-        // The validator itself accepts healthy input.
-        assert!(validate_tracks(3, &[vec![1.0, 2.0, 3.0]]).is_ok());
     }
 
     /// Locks the two-source `fast()` separation quality to seeded floors

@@ -240,11 +240,6 @@ impl FftPlanner {
         self.plans_built
     }
 
-    /// Number of distinct transform sizes currently cached.
-    pub fn cached_sizes(&self) -> usize {
-        self.radix2.len() + self.bluestein.len() + self.real.len()
-    }
-
     fn ensure_radix2(&mut self, n: usize) {
         let plans_built = &mut self.plans_built;
         self.radix2.entry(n).or_insert_with(|| {
@@ -616,26 +611,6 @@ pub fn rfft_frequencies(n: usize, fs: f64) -> Vec<f64> {
     (0..=n / 2).map(|k| k as f64 * fs / n as f64).collect()
 }
 
-/// Circular convolution of two equal-length sequences via the FFT.
-pub fn circular_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "circular convolution requires equal lengths");
-    let n = a.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    with_thread_planner(|p| {
-        let mut fa: Vec<Complex> = a.iter().map(|&x| Complex::from_real(x)).collect();
-        let mut fb: Vec<Complex> = b.iter().map(|&x| Complex::from_real(x)).collect();
-        p.fft_inplace(&mut fa);
-        p.fft_inplace(&mut fb);
-        for (x, &y) in fa.iter_mut().zip(&fb) {
-            *x *= y;
-        }
-        p.ifft_inplace(&mut fa);
-        fa.into_iter().map(|c| c.re).collect()
-    })
-}
-
 /// Linear (acyclic) autocorrelation of `x` for non-negative lags,
 /// normalized so lag 0 equals 1 (unless the signal is all-zero).
 ///
@@ -771,17 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn circular_convolution_with_delta_is_identity() {
-        let x = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut delta = vec![0.0; 5];
-        delta[0] = 1.0;
-        let y = circular_convolve(&x, &delta);
-        for (a, b) in x.iter().zip(&y) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn autocorrelation_peaks_at_signal_period() {
         let fs = 100.0;
         let period = 25; // 4 Hz at 100 Hz sampling
@@ -813,7 +777,6 @@ mod tests {
         }
         // One real-split table (512) + one half-size radix-2 plan (256).
         assert_eq!(planner.plans_built(), 2, "same-size transforms must share one plan set");
-        assert_eq!(planner.cached_sizes(), 2);
         // A second size adds one more split table + one more radix-2 plan.
         let y = vec![0.5f64; 1024];
         planner.rfft_into(&y, &mut half);

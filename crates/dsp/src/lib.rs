@@ -15,9 +15,10 @@
 //!   zero-phase application, and linear detrending.
 //! * Interpolation ([`interp`]): linear, natural cubic spline and monotone
 //!   PCHIP, the workhorses of the paper's pattern aligner (Eqs. 3–7).
-//! * Resampling ([`resample`]), phase utilities ([`phase`]), simple
-//!   statistics ([`stats`]), peak picking and median filtering
-//!   ([`peaks`], [`median`]).
+//! * Phase utilities ([`phase`]), simple statistics ([`stats`]), local
+//!   extrema and median filtering ([`peaks`], [`median`]).
+//! * The f0-track contract ([`tracks`]): one check, and one
+//!   [`tracks::TrackError`], for every separator conditioned on f0 tracks.
 //!
 //! # Example
 //!
@@ -46,10 +47,10 @@ pub mod interp;
 pub mod median;
 pub mod peaks;
 pub mod phase;
-pub mod resample;
 pub mod simd;
 pub mod stats;
 pub mod stft;
+pub mod tracks;
 pub mod window;
 
 pub use complex::Complex;

@@ -1,5 +1,4 @@
-//! Local-extremum detection, used by EMD's sifting step and by the
-//! autocorrelation-based fundamental-frequency tracker.
+//! Local-extremum detection, used by EMD's sifting step.
 
 /// Indices of strict local maxima (`x[i-1] < x[i] > x[i+1]`), with plateau
 /// handling: the centre of a flat top counts once.
@@ -36,35 +35,6 @@ fn extrema(x: &[f64], maxima: bool) -> Vec<usize> {
     out
 }
 
-/// Largest local maximum in `x[lo..hi]` subject to a minimum height;
-/// returns its index.
-pub fn dominant_peak(x: &[f64], lo: usize, hi: usize, min_height: f64) -> Option<usize> {
-    let hi = hi.min(x.len());
-    if lo >= hi {
-        return None;
-    }
-    local_maxima(&x[lo..hi])
-        .into_iter()
-        .map(|i| i + lo)
-        .filter(|&i| x[i] >= min_height)
-        .max_by(|&a, &b| x[a].partial_cmp(&x[b]).unwrap_or(std::cmp::Ordering::Equal))
-}
-
-/// Peak picking with a minimum separation: greedy selection of the highest
-/// peaks such that chosen indices are at least `min_distance` apart.
-pub fn peaks_with_distance(x: &[f64], min_distance: usize) -> Vec<usize> {
-    let mut candidates = local_maxima(x);
-    candidates.sort_by(|&a, &b| x[b].partial_cmp(&x[a]).unwrap_or(std::cmp::Ordering::Equal));
-    let mut chosen: Vec<usize> = Vec::new();
-    for c in candidates {
-        if chosen.iter().all(|&p| p.abs_diff(c) >= min_distance) {
-            chosen.push(c);
-        }
-    }
-    chosen.sort_unstable();
-    chosen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,21 +63,6 @@ mod tests {
         let x = [5.0, 1.0, 4.0];
         assert_eq!(local_maxima(&x), Vec::<usize>::new());
         assert_eq!(local_minima(&x), vec![1]);
-    }
-
-    #[test]
-    fn dominant_peak_respects_bounds_and_height() {
-        let x = [0.0, 3.0, 0.0, 5.0, 0.0, 1.0, 0.0];
-        assert_eq!(dominant_peak(&x, 0, 7, 0.5), Some(3));
-        assert_eq!(dominant_peak(&x, 0, 3, 0.5), Some(1));
-        assert_eq!(dominant_peak(&x, 4, 7, 2.0), None);
-    }
-
-    #[test]
-    fn min_distance_suppresses_nearby_peaks() {
-        let x = [0.0, 2.0, 0.0, 1.9, 0.0, 0.0, 0.0, 3.0, 0.0];
-        let p = peaks_with_distance(&x, 4);
-        assert_eq!(p, vec![1, 7]);
     }
 
     #[test]

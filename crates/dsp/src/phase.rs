@@ -1,51 +1,10 @@
-//! Phase utilities: unwrapping, cumulative phase from frequency tracks, and
-//! cyclic interpolation across masked gaps.
+//! Phase utilities: cumulative phase from frequency tracks, and cyclic
+//! interpolation across masked gaps.
 //!
 //! The paper's §3.4 interpolates the real and imaginary parts of each bin's
 //! phasor separately, then re-derives the phase, so that interpolation
-//! respects the circular topology of angles — [`interpolate_cyclic`]
+//! respects the circular topology of angles — [`interpolate_cyclic_into`]
 //! implements exactly that.
-
-/// Unwraps a wrapped phase sequence so consecutive differences stay within
-/// `(-π, π]`.
-///
-/// # Example
-///
-/// ```
-/// use dhf_dsp::phase::unwrap;
-/// let tau = std::f64::consts::TAU;
-/// // A linear ramp wrapped into (-π, π]: unwrap recovers the ramp.
-/// let wrapped: Vec<f64> = (0..20)
-///     .map(|i| {
-///         let p: f64 = 0.9 * i as f64;
-///         (p + std::f64::consts::PI).rem_euclid(tau) - std::f64::consts::PI
-///     })
-///     .collect();
-/// let un = unwrap(&wrapped);
-/// for (i, v) in un.iter().enumerate() {
-///     assert!((v - 0.9 * i as f64).abs() < 1e-9);
-/// }
-/// ```
-pub fn unwrap(phase: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(phase.len());
-    let mut offset = 0.0;
-    let tau = std::f64::consts::TAU;
-    for (i, &p) in phase.iter().enumerate() {
-        if i > 0 {
-            let mut d = p + offset - out[i - 1];
-            while d > std::f64::consts::PI {
-                offset -= tau;
-                d -= tau;
-            }
-            while d < -std::f64::consts::PI {
-                offset += tau;
-                d += tau;
-            }
-        }
-        out.push(p + offset);
-    }
-    out
-}
 
 /// Cumulative unrolled phase `Φ[n] = 2π·Σ_{i<n} f[i]·Δt` of a frequency
 /// track sampled at `fs` (paper Eq. 4, left-Riemann form). `Φ[0] = 0` so
@@ -67,22 +26,11 @@ pub fn cumulative_phase(freq_track: &[f64], fs: f64) -> Vec<f64> {
 /// and the angle re-derived with `atan2` (paper §3.4).
 ///
 /// `valid[i] == true` marks samples whose phase is trusted; the rest are
-/// re-estimated. If fewer than two samples are valid the input is returned
-/// unchanged.
-///
-/// # Panics
-///
-/// Panics if `phase.len() != valid.len()`.
-pub fn interpolate_cyclic(phase: &[f64], valid: &[bool]) -> Vec<f64> {
-    let mut out = Vec::new();
-    interpolate_cyclic_into(phase, valid, &mut out);
-    out
-}
-
-/// Like [`interpolate_cyclic`], writing into an existing buffer (cleared
-/// first) and allocating nothing: the hot path walks straight from one
-/// valid anchor to the next, interpolating the unit phasor across each
-/// gap and clamping beyond the outermost anchors.
+/// re-estimated. If fewer than two samples are valid the input is copied
+/// unchanged. Writes into `out` (cleared first) and allocates nothing
+/// beyond it: the walk goes straight from one valid anchor to the next,
+/// interpolating the unit phasor across each gap and clamping beyond the
+/// outermost anchors.
 ///
 /// # Panics
 ///
@@ -131,28 +79,10 @@ pub fn interpolate_cyclic_into(phase: &[f64], valid: &[bool], out: &mut Vec<f64>
     }
 }
 
-/// Wraps an angle into `(-π, π]`.
-#[inline]
-pub fn wrap_angle(theta: f64) -> f64 {
-    let tau = std::f64::consts::TAU;
-    let w = (theta + std::f64::consts::PI).rem_euclid(tau) - std::f64::consts::PI;
-    if w == -std::f64::consts::PI {
-        std::f64::consts::PI
-    } else {
-        w
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
-
-    #[test]
-    fn unwrap_identity_when_already_smooth() {
-        let p: Vec<f64> = (0..10).map(|i| 0.1 * i as f64).collect();
-        assert_eq!(unwrap(&p), p);
-    }
 
     #[test]
     fn cumulative_phase_of_constant_frequency_is_linear() {
@@ -171,7 +101,8 @@ mod tests {
         // cyclic interpolation stays near ±π.
         let phase = vec![PI - 0.1, 0.0, -(PI - 0.1)];
         let valid = vec![true, false, true];
-        let out = interpolate_cyclic(&phase, &valid);
+        let mut out = Vec::new();
+        interpolate_cyclic_into(&phase, &valid, &mut out);
         assert!(out[1].abs() > PI - 0.2, "interpolated through zero: {}", out[1]);
     }
 
@@ -179,7 +110,8 @@ mod tests {
     fn cyclic_interp_keeps_valid_samples() {
         let phase = vec![0.3, 0.9, 1.4, 2.2];
         let valid = vec![true, false, true, true];
-        let out = interpolate_cyclic(&phase, &valid);
+        let mut out = Vec::new();
+        interpolate_cyclic_into(&phase, &valid, &mut out);
         assert_eq!(out[0], 0.3);
         assert_eq!(out[2], 1.4);
         assert_eq!(out[3], 2.2);
@@ -189,19 +121,8 @@ mod tests {
     #[test]
     fn cyclic_interp_with_no_valid_points_is_identity() {
         let phase = vec![0.1, 0.2];
-        let out = interpolate_cyclic(&phase, &[false, false]);
+        let mut out = Vec::new();
+        interpolate_cyclic_into(&phase, &[false, false], &mut out);
         assert_eq!(out, phase);
-    }
-
-    #[test]
-    fn wrap_angle_is_in_range() {
-        for k in -20..20 {
-            let theta = k as f64 * 1.3;
-            let w = wrap_angle(theta);
-            assert!(w > -PI - 1e-12 && w <= PI + 1e-12);
-            // Same point on the circle.
-            assert!((w.cos() - theta.cos()).abs() < 1e-9);
-            assert!((w.sin() - theta.sin()).abs() < 1e-9);
-        }
     }
 }

@@ -37,13 +37,6 @@ pub fn energy(x: &[f64]) -> f64 {
     x.iter().map(|&v| v * v).sum()
 }
 
-/// Minimum and maximum, ignoring NaNs; `None` for an empty slice.
-pub fn min_max(x: &[f64]) -> Option<(f64, f64)> {
-    let mut it = x.iter().filter(|v| !v.is_nan());
-    let first = *it.next()?;
-    Some(it.fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))))
-}
-
 /// Median of a slice (averages the central pair for even lengths);
 /// `None` for an empty slice.
 pub fn median(x: &[f64]) -> Option<f64> {
@@ -108,13 +101,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
         assert_eq!(median(&[]), None);
-    }
-
-    #[test]
-    fn min_max_ignores_nan() {
-        let x = [1.0, f64::NAN, -2.0, 5.0];
-        assert_eq!(min_max(&x), Some((-2.0, 5.0)));
-        assert_eq!(min_max(&[]), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::window::{cola_deviation, WindowKind};
 use crate::{DspError, Result};
 use std::cell::RefCell;
 
-/// STFT analysis parameters.
+/// STFT analysis parameters. Every STFT uses a Hann window.
 ///
 /// # Example
 ///
@@ -28,26 +28,16 @@ pub struct StftConfig {
     window_len: usize,
     hop: usize,
     fs: f64,
-    kind: WindowKind,
 }
 
 impl StftConfig {
-    /// Creates a configuration with a Hann window.
+    /// Creates a configuration.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::InvalidParameter`] if `window_len` or `hop` is
     /// zero, `hop > window_len`, or `fs` is not positive.
     pub fn new(window_len: usize, hop: usize, fs: f64) -> Result<Self> {
-        Self::with_window(window_len, hop, fs, WindowKind::Hann)
-    }
-
-    /// Creates a configuration with an explicit window shape.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StftConfig::new`].
-    pub fn with_window(window_len: usize, hop: usize, fs: f64, kind: WindowKind) -> Result<Self> {
         if window_len == 0 {
             return Err(DspError::InvalidParameter {
                 name: "window_len",
@@ -66,7 +56,7 @@ impl StftConfig {
                 message: "sample rate must be positive".into(),
             });
         }
-        Ok(StftConfig { window_len, hop, fs, kind })
+        Ok(StftConfig { window_len, hop, fs })
     }
 
     /// Analysis window length in samples.
@@ -82,11 +72,6 @@ impl StftConfig {
     /// Sample rate of the time-domain signal, in Hz.
     pub fn fs(&self) -> f64 {
         self.fs
-    }
-
-    /// Window shape.
-    pub fn window_kind(&self) -> WindowKind {
-        self.kind
     }
 
     /// Number of non-redundant frequency bins (`window_len/2 + 1`).
@@ -122,7 +107,7 @@ impl StftConfig {
     /// Maximum relative COLA deviation of this window/hop pair; near zero
     /// means exact interior reconstruction through [`istft`].
     pub fn cola_deviation(&self) -> f64 {
-        cola_deviation(&self.kind.samples(self.window_len), self.hop)
+        cola_deviation(&WindowKind::Hann.samples(self.window_len), self.hop)
     }
 }
 
@@ -307,22 +292,6 @@ impl Spectrogram {
         }
     }
 
-    /// Scales every coefficient of a single bin row by `gain` (used by the
-    /// comb restriction, whose gain is constant over time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin >= bins`.
-    pub fn scale_bin(&mut self, bin: usize, gain: f64) {
-        assert!(bin < self.bins, "bin out of range");
-        let mut i = bin;
-        for _ in 0..self.frames {
-            self.re[i] *= gain;
-            self.im[i] *= gain;
-            i += self.bins;
-        }
-    }
-
     /// Scales every frame by a per-bin gain vector (time-constant gains,
     /// e.g. the comb restriction): each frame's contiguous plane slices
     /// are multiplied elementwise by `gains` in one kernel call.
@@ -358,7 +327,6 @@ pub struct StftEngine {
     /// product is identical to multiplying on the fly, so the vectorized
     /// accumulate stays bit-identical to the historical scalar loop.
     window_sq: Vec<f64>,
-    window_key: Option<(WindowKind, usize)>,
     frame: Vec<f64>,
     norm: Vec<f64>,
 }
@@ -375,11 +343,12 @@ impl StftEngine {
         &self.planner
     }
 
-    fn ensure_window(&mut self, kind: WindowKind, len: usize) {
-        if self.window_key != Some((kind, len)) {
-            self.window = kind.samples(len);
+    /// Builds the Hann window (and its square) unless one of `len`
+    /// samples is cached already.
+    fn ensure_window(&mut self, len: usize) {
+        if self.window.len() != len {
+            self.window = WindowKind::Hann.samples(len);
             self.window_sq = self.window.iter().map(|&w| w * w).collect();
-            self.window_key = Some((kind, len));
         }
     }
 
@@ -421,7 +390,7 @@ impl StftEngine {
         // so the span measures real work only.
         let _span = dhf_obs::span(dhf_obs::Stage::StftAnalysis);
         let frames = config.frames_for(signal.len());
-        self.ensure_window(config.window_kind(), w);
+        self.ensure_window(w);
         spec.reset_layout(*config, frames, signal.len());
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
@@ -455,7 +424,7 @@ impl StftEngine {
         let hop = config.hop();
         let frames = spec.frames();
         let n = if frames == 0 { 0 } else { (frames - 1) * hop + w };
-        self.ensure_window(config.window_kind(), w);
+        self.ensure_window(w);
 
         out.clear();
         out.resize(n, 0.0);
@@ -670,11 +639,16 @@ mod tests {
             }
         }
 
+        // Per-bin gains scale whole bin rows.
+        let mut gains = vec![1.0; s.bins()];
+        gains[3] = 0.0;
+        gains[5] = 0.5;
         let mut scaled = s.clone();
-        scaled.scale_bin(3, 0.0);
+        scaled.scale_bins(&gains);
         for m in 0..s.frames() {
             assert_eq!(scaled.at(3, m), Complex::ZERO);
             assert_eq!(scaled.at(4, m), s.at(4, m));
+            assert_eq!(scaled.at(5, m), s.at(5, m).scale(0.5));
         }
     }
 }

@@ -137,12 +137,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     }
 }
 
-/// Correlation *error* relative to the ideal correlation of 1, the quantity
-/// the paper improves "by 80.5%" in §4.3: `1 − pearson`.
-pub fn correlation_error(x: &[f64], y: &[f64]) -> f64 {
-    1.0 - pearson(x, y)
-}
-
 /// Masked energy ratio (Figure 5a): the fraction of the energy hidden by a
 /// separation round's mask that belongs to the target source.
 ///
@@ -246,7 +240,6 @@ mod tests {
         let x: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let y: Vec<f64> = x.iter().map(|&v| 2.0 * v + 1.0).collect();
         assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
-        assert!((correlation_error(&x, &y)).abs() < 1e-12);
         let z = vec![3.3; 50];
         assert_eq!(pearson(&x, &z), 0.0);
     }

@@ -499,23 +499,6 @@ impl StreamingOximeter {
         self.seps[0].config().max_latency_samples() + self.cfg.trend_window - self.cfg.trend_hop
     }
 
-    /// Rewinds the session to a fresh stream at position 0, keeping both
-    /// separators' cached FFT plans hot (the serving-runtime reuse hook,
-    /// mirroring [`StreamingSeparator::reset`]).
-    pub fn reset(&mut self) {
-        for sep in &mut self.seps {
-            sep.reset();
-        }
-        self.dc_state = [None, None];
-        for buf in self.raw.iter_mut().chain(self.fetal.iter_mut()) {
-            buf.clear();
-        }
-        self.buf_start = 0;
-        self.fetal_end = [0, 0];
-        self.next_window = 0;
-        self.windows_emitted = 0;
-    }
-
     /// Ingests one sample-aligned packet of both wavelength channels plus
     /// the shared f0 tracks, returning every SpO2 window that became
     /// ready (zero or more).
@@ -552,8 +535,8 @@ impl StreamingOximeter {
                     // A chunk-separation failure happens *after* the
                     // engine buffered the packet; keep the raw/DC books
                     // aligned with what the separator ingested. (The
-                    // channels may now be offset by one packet — flush or
-                    // [`reset`](Self::reset) before continuing.)
+                    // channels may now be offset by one packet — flush
+                    // before continuing.)
                     self.dc_state[li] = state;
                     self.raw[li].extend_from_slice(channel);
                     return Err(e.into());

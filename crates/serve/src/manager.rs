@@ -7,6 +7,7 @@ use crate::session::{
 use crate::shard::{run_worker, Command, Engine, IngestItem, SessionQueue, ShardShared};
 use crate::telemetry::{ShardCounters, Telemetry};
 use crate::ServeError;
+use dhf_dsp::tracks::check_tracks;
 use dhf_oximetry::{OximetryConfig, OximetryError, StreamingOximeter};
 use dhf_stream::{StreamError, StreamingConfig, StreamingSeparator};
 use std::collections::HashMap;
@@ -19,39 +20,6 @@ use std::time::Instant;
 /// over the shards.
 fn shard_of(id: u64, shards: usize) -> usize {
     ((id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % shards as u64) as usize
-}
-
-/// Synchronous per-push track validation shared by both push APIs: the
-/// track count must match the session and every track the packet length.
-fn validate_tracks(
-    samples: usize,
-    n_sources: usize,
-    f0_tracks: &[&[f64]],
-) -> Result<(), ServeError> {
-    if f0_tracks.len() != n_sources {
-        return Err(ServeError::Session(StreamError::SourceCountMismatch {
-            expected: n_sources,
-            got: f0_tracks.len(),
-        }));
-    }
-    for t in f0_tracks {
-        if t.len() != samples {
-            return Err(ServeError::Session(StreamError::TrackLengthMismatch {
-                signal: samples,
-                track: t.len(),
-            }));
-        }
-    }
-    Ok(())
-}
-
-/// Finds the first non-positive or non-finite f0 value, as
-/// `(track, offset)` within the packet.
-fn scan_tracks(f0_tracks: &[&[f64]]) -> Option<(usize, usize)> {
-    f0_tracks
-        .iter()
-        .enumerate()
-        .find_map(|(ti, t)| t.iter().position(|&f| !f.is_finite() || f <= 0.0).map(|i| (ti, i)))
 }
 
 struct ShardHandle {
@@ -226,30 +194,7 @@ impl SessionManager {
         samples: &[f64],
         f0_tracks: &[&[f64]],
     ) -> Result<PushReceipt, ServeError> {
-        let (shard, n_sources, shared) = self.admit(id, SessionKind::Separation)?;
-        if let Some(err) = shared.mailbox.lock().unwrap().error.clone() {
-            return Err(ServeError::SessionFailed { session: id, error: err });
-        }
-        validate_tracks(samples.len(), n_sources, f0_tracks)?;
-
-        // The O(samples) work — value scanning and packet copies — runs
-        // *before* the shard lock, so the critical section is a few
-        // pointer moves and never serializes other clients (or the
-        // worker's batch drain) behind a memcpy.
-        let bad_value = scan_tracks(f0_tracks);
-        let capacity = self.cfg.queue_capacity();
-        let incoming = samples.len();
-        let item = if bad_value.is_none() && incoming > 0 && incoming <= capacity {
-            Some(IngestItem {
-                samples: samples.to_vec(),
-                samples2: None,
-                tracks: f0_tracks.iter().map(|t| t.to_vec()).collect(),
-                enqueued_at: Instant::now(),
-            })
-        } else {
-            None
-        };
-        self.enqueue(shard, id, bad_value, item, incoming)
+        self.ingest(id, SessionKind::Separation, samples, None, f0_tracks)
     }
 
     /// Enqueues one sample-aligned dual-wavelength packet (λ1, λ2, and
@@ -276,61 +221,54 @@ impl SessionManager {
         lambda2: &[f64],
         f0_tracks: &[&[f64]],
     ) -> Result<PushReceipt, ServeError> {
-        let (shard, n_sources, shared) = self.admit(id, SessionKind::Oximetry)?;
+        self.ingest(id, SessionKind::Oximetry, lambda1, Some(lambda2), f0_tracks)
+    }
+
+    /// The admission path shared by both push APIs: looks the session up,
+    /// checks the packet, applies the backpressure policy, and enqueues
+    /// it. `lambda2` is the oximetry session's second channel.
+    fn ingest(
+        &self,
+        id: SessionId,
+        kind: SessionKind,
+        samples: &[f64],
+        lambda2: Option<&[f64]>,
+        f0_tracks: &[&[f64]],
+    ) -> Result<PushReceipt, ServeError> {
+        let (shard, n_sources, shared) = {
+            let sessions = self.sessions.lock().unwrap();
+            let e = sessions.get(&id.0).ok_or(ServeError::UnknownSession(id))?;
+            if e.kind != kind {
+                return Err(ServeError::KindMismatch { session: id, kind: e.kind });
+            }
+            (e.shard, e.n_sources, Arc::clone(&e.shared))
+        };
         if let Some(err) = shared.mailbox.lock().unwrap().error.clone() {
             return Err(ServeError::SessionFailed { session: id, error: err });
         }
-        if lambda1.len() != lambda2.len() {
-            return Err(ServeError::Oximetry(OximetryError::ChannelLengthMismatch {
-                lambda1: lambda1.len(),
-                lambda2: lambda2.len(),
-            }));
+        if let Some(lambda2) = lambda2 {
+            if lambda2.len() != samples.len() {
+                return Err(ServeError::Oximetry(OximetryError::ChannelLengthMismatch {
+                    lambda1: samples.len(),
+                    lambda2: lambda2.len(),
+                }));
+            }
         }
-        validate_tracks(lambda1.len(), n_sources, f0_tracks)?;
 
-        let bad_value = scan_tracks(f0_tracks);
+        // The O(samples) work — the track check and packet copies — runs
+        // *before* the shard lock, so the critical section is a few
+        // pointer moves and never serializes other clients (or the
+        // worker's batch drain) behind a memcpy.
+        let checked = check_tracks(n_sources, samples.len(), f0_tracks);
         let capacity = self.cfg.queue_capacity();
-        let incoming = lambda1.len();
-        let item = if bad_value.is_none() && incoming > 0 && incoming <= capacity {
-            Some(IngestItem {
-                samples: lambda1.to_vec(),
-                samples2: Some(lambda2.to_vec()),
-                tracks: f0_tracks.iter().map(|t| t.to_vec()).collect(),
-                enqueued_at: Instant::now(),
-            })
-        } else {
-            None
-        };
-        self.enqueue(shard, id, bad_value, item, incoming)
-    }
+        let incoming = samples.len();
+        let item = (checked.is_ok() && incoming > 0 && incoming <= capacity).then(|| IngestItem {
+            samples: samples.to_vec(),
+            samples2: lambda2.map(<[f64]>::to_vec),
+            tracks: f0_tracks.iter().map(|t| t.to_vec()).collect(),
+            enqueued_at: Instant::now(),
+        });
 
-    /// Looks a session up and checks the request used the API matching
-    /// its kind.
-    fn admit(
-        &self,
-        id: SessionId,
-        expected: SessionKind,
-    ) -> Result<(usize, usize, Arc<SessionShared>), ServeError> {
-        let sessions = self.sessions.lock().unwrap();
-        let e = sessions.get(&id.0).ok_or(ServeError::UnknownSession(id))?;
-        if e.kind != expected {
-            return Err(ServeError::KindMismatch { session: id, kind: e.kind });
-        }
-        Ok((e.shard, e.n_sources, Arc::clone(&e.shared)))
-    }
-
-    /// The admission path shared by both push APIs: locates the queue,
-    /// reports bad track values by absolute accepted-stream position,
-    /// applies the backpressure policy, and enqueues the packet.
-    fn enqueue(
-        &self,
-        shard: usize,
-        id: SessionId,
-        bad_value: Option<(usize, usize)>,
-        item: Option<IngestItem>,
-        incoming: usize,
-    ) -> Result<PushReceipt, ServeError> {
-        let capacity = self.cfg.queue_capacity();
         let handle = &self.shards[shard];
         let mut st = handle.shared.state.lock().unwrap();
         let q = st.queues.get_mut(&id.0).ok_or(ServeError::UnknownSession(id))?;
@@ -338,12 +276,8 @@ impl SessionManager {
         // Bad values are located by absolute position in the accepted
         // stream (under `DropOldest` evictions the engine's own stream
         // compacts, so engine-side positions can run behind these).
-        if let Some((track, i)) = bad_value {
-            return Err(ServeError::Session(StreamError::NonPositiveTrackValue {
-                track,
-                sample: q.enqueued_total + i,
-            }));
-        }
+        checked
+            .map_err(|e| ServeError::Session(StreamError::Tracks(e.offset(q.enqueued_total))))?;
         if incoming == 0 {
             return Ok(PushReceipt { queued_samples: q.queued_samples, dropped_samples: 0 });
         }
@@ -536,6 +470,7 @@ pub struct ShutdownReport {
 mod tests {
     use super::*;
     use dhf_core::DhfConfig;
+    use dhf_dsp::tracks::TrackError;
 
     fn stream_cfg(chunk_len: usize, overlap: usize) -> StreamingConfig {
         StreamingConfig::new(chunk_len, overlap, DhfConfig::fast().with_harmonic_interp()).unwrap()
@@ -611,12 +546,19 @@ mod tests {
 
         assert!(matches!(
             manager.push(id, &zeros, &[&good]),
-            Err(ServeError::Session(StreamError::SourceCountMismatch { expected: 2, got: 1 }))
+            Err(ServeError::Session(StreamError::Tracks(TrackError::Count {
+                expected: 2,
+                got: 1
+            })))
         ));
         let short = vec![1.3f64; 99];
         assert!(matches!(
             manager.push(id, &zeros, &[&good, &short]),
-            Err(ServeError::Session(StreamError::TrackLengthMismatch { signal: 100, track: 99 }))
+            Err(ServeError::Session(StreamError::Tracks(TrackError::Length {
+                track: 1,
+                expected: 100,
+                got: 99
+            })))
         ));
         // Absolute position in the accepted stream: 100 (already queued)
         // + 40.
@@ -624,7 +566,10 @@ mod tests {
         bad[40] = -1.0;
         assert!(matches!(
             manager.push(id, &zeros, &[&good, &bad]),
-            Err(ServeError::Session(StreamError::NonPositiveTrackValue { track: 1, sample: 140 }))
+            Err(ServeError::Session(StreamError::Tracks(TrackError::Value {
+                track: 1,
+                sample: 140
+            })))
         ));
 
         // Unknown session.
@@ -1150,7 +1095,10 @@ mod tests {
         bad[7] = f64::NAN;
         assert!(matches!(
             manager.push_oximetry(ox_id, &samples, &samples, &[&track, &bad]),
-            Err(ServeError::Session(StreamError::NonPositiveTrackValue { track: 1, sample: 7 }))
+            Err(ServeError::Session(StreamError::Tracks(TrackError::Value {
+                track: 1,
+                sample: 7
+            })))
         ));
         // The matching APIs work.
         assert!(manager.push(sep_id, &samples, &t).is_ok());

@@ -57,6 +57,7 @@ pub use separator::{separate_streamed, FlushOutcome, StreamBlock, StreamingSepar
 pub use stitch::crossfade_weights;
 
 use dhf_core::DhfError;
+use dhf_dsp::tracks::TrackError;
 
 /// Errors from the streaming engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,29 +69,9 @@ pub enum StreamError {
         /// Human-readable description of the violated constraint.
         message: String,
     },
-    /// A push supplied a different number of f0 tracks than the session
-    /// was opened with.
-    SourceCountMismatch {
-        /// Sources declared at session start.
-        expected: usize,
-        /// Tracks supplied in the offending push.
-        got: usize,
-    },
-    /// A pushed track's length differs from the pushed sample count.
-    TrackLengthMismatch {
-        /// Samples pushed.
-        signal: usize,
-        /// Length of the offending track slice.
-        track: usize,
-    },
-    /// A pushed f0 value was non-positive or non-finite, located by
-    /// source and *absolute* stream position.
-    NonPositiveTrackValue {
-        /// Index of the offending source.
-        track: usize,
-        /// Absolute sample index in the stream.
-        sample: usize,
-    },
+    /// A push's f0 tracks break the track contract; a bad value is
+    /// located by its *absolute* stream position.
+    Tracks(TrackError),
     /// The underlying per-chunk DHF separation failed.
     Dhf(DhfError),
 }
@@ -101,19 +82,7 @@ impl std::fmt::Display for StreamError {
             StreamError::InvalidConfig { name, message } => {
                 write!(f, "invalid streaming parameter `{name}`: {message}")
             }
-            StreamError::SourceCountMismatch { expected, got } => {
-                write!(f, "push supplied {got} f0 tracks, session has {expected} sources")
-            }
-            StreamError::TrackLengthMismatch { signal, track } => {
-                write!(f, "pushed track length {track} does not match pushed samples {signal}")
-            }
-            StreamError::NonPositiveTrackValue { track, sample } => {
-                write!(
-                    f,
-                    "f0 track {track} has a non-positive or non-finite value at stream \
-                     position {sample}"
-                )
-            }
+            StreamError::Tracks(e) => write!(f, "invalid pushed f0 tracks: {e}"),
             StreamError::Dhf(e) => write!(f, "chunk separation failed: {e}"),
         }
     }

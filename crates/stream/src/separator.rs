@@ -4,6 +4,7 @@ use crate::hpss::FrontFilter;
 use crate::stitch::{blend_seam, crossfade_weights};
 use crate::{StreamError, StreamingConfig};
 use dhf_core::{DhfError, RoundContext};
+use dhf_dsp::tracks::check_tracks;
 
 /// Seed stride between chunks, so chunk `c` round `r` draws deep-prior
 /// noise from salt `c·CHUNK_SALT_STRIDE + r` — never colliding with a
@@ -246,39 +247,19 @@ impl StreamingSeparator {
     ///
     /// # Errors
     ///
-    /// Returns a validation error (wrong track count/length, non-positive
-    /// f0 — located by absolute stream position) before buffering anything,
-    /// or a wrapped [`DhfError`] if a chunk separation fails. Blocks
-    /// already separated by the failing call are retained and delivered by
-    /// the next successful `push` or [`flush`](Self::flush) — no emitted
-    /// stride is ever lost.
+    /// Returns [`StreamError::Tracks`] (a bad f0 value located by absolute
+    /// stream position) before buffering anything, or a wrapped
+    /// [`DhfError`] if a chunk separation fails. Blocks already separated
+    /// by the failing call are retained and delivered by the next
+    /// successful `push` or [`flush`](Self::flush) — no emitted stride is
+    /// ever lost.
     pub fn push(
         &mut self,
         samples: &[f64],
         f0_tracks: &[&[f64]],
     ) -> Result<Vec<StreamBlock>, StreamError> {
-        if f0_tracks.len() != self.n_sources {
-            return Err(StreamError::SourceCountMismatch {
-                expected: self.n_sources,
-                got: f0_tracks.len(),
-            });
-        }
-        for t in f0_tracks {
-            if t.len() != samples.len() {
-                return Err(StreamError::TrackLengthMismatch {
-                    signal: samples.len(),
-                    track: t.len(),
-                });
-            }
-        }
-        for (ti, t) in f0_tracks.iter().enumerate() {
-            if let Some(i) = t.iter().position(|&f| !f.is_finite() || f <= 0.0) {
-                return Err(StreamError::NonPositiveTrackValue {
-                    track: ti,
-                    sample: self.ingested + i,
-                });
-            }
-        }
+        check_tracks(self.n_sources, samples.len(), f0_tracks)
+            .map_err(|e| StreamError::Tracks(e.offset(self.ingested)))?;
 
         self.buf.extend_from_slice(samples);
         for (stored, pushed) in self.tracks.iter_mut().zip(f0_tracks) {
@@ -505,6 +486,7 @@ pub fn separate_streamed(
 mod tests {
     use super::*;
     use dhf_core::{DhfConfig, DhfError};
+    use dhf_dsp::tracks::TrackError;
 
     /// Two drifting quasi-periodic sources (same family as the core tests).
     fn make_mix(fs: f64, n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
@@ -644,20 +626,20 @@ mod tests {
         // Wrong source count.
         assert!(matches!(
             sep.push(&zeros, &[&good]),
-            Err(StreamError::SourceCountMismatch { expected: 2, got: 1 })
+            Err(StreamError::Tracks(TrackError::Count { expected: 2, got: 1 }))
         ));
         // Wrong track length.
         let short = vec![1.3f64; 99];
         assert!(matches!(
             sep.push(&zeros, &[&good, &short]),
-            Err(StreamError::TrackLengthMismatch { signal: 100, track: 99 })
+            Err(StreamError::Tracks(TrackError::Length { track: 1, expected: 100, got: 99 }))
         ));
         // Non-positive value at absolute stream position 100 + 40 = 140.
         let mut bad = vec![1.3f64; 100];
         bad[40] = -0.5;
         assert!(matches!(
             sep.push(&zeros, &[&good, &bad]),
-            Err(StreamError::NonPositiveTrackValue { track: 1, sample: 140 })
+            Err(StreamError::Tracks(TrackError::Value { track: 1, sample: 140 }))
         ));
         // A failed push buffers nothing.
         assert_eq!(sep.samples_ingested(), 100);

@@ -30,7 +30,7 @@ impl VarId {
 ///
 /// Exposed for introspection (e.g. graph dumps in tests); construct nodes
 /// through the [`Graph`] builder methods, not by hand. Scalar attributes
-/// (scale factors, slopes, epsilons) are stored as `f32` and converted to
+/// (slopes, epsilons) are stored as `f32` and converted to
 /// the graph's working precision at evaluation time — exact for both
 /// precisions since every `f32` widens losslessly.
 #[derive(Debug, Clone)]
@@ -40,20 +40,14 @@ pub enum Op {
     Leaf,
     /// Elementwise sum.
     Add(VarId, VarId),
-    /// Elementwise difference.
-    Sub(VarId, VarId),
     /// Elementwise (Hadamard) product.
     Mul(VarId, VarId),
-    /// Multiplication by a compile-time scalar.
-    Scale(VarId, f32),
     /// Per-channel bias addition over a `[C,F,T]` image.
     AddBias(VarId, VarId),
     /// Leaky rectified linear unit with the given negative slope.
     LeakyRelu(VarId, f32),
     /// Logistic sigmoid.
     Sigmoid(VarId),
-    /// Hyperbolic tangent.
-    Tanh(VarId),
     /// Same-padded 2-D convolution `(input, weight)` with per-axis dilation.
     Conv2d {
         /// Input image `[C,F,T]`.
@@ -264,17 +258,6 @@ impl<S: Scalar> Graph<S> {
         self.push_op(Op::Add(a, b), shape)
     }
 
-    /// Elementwise `a - b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        self.assert_same_shape(a, b, "sub");
-        let shape = self.shape_of(a).to_vec();
-        self.push_op(Op::Sub(a, b), shape)
-    }
-
     /// Elementwise `a ⊙ b`.
     ///
     /// # Panics
@@ -284,12 +267,6 @@ impl<S: Scalar> Graph<S> {
         self.assert_same_shape(a, b, "mul");
         let shape = self.shape_of(a).to_vec();
         self.push_op(Op::Mul(a, b), shape)
-    }
-
-    /// `a · s` for a fixed scalar `s`.
-    pub fn scale(&mut self, a: VarId, s: f32) -> VarId {
-        let shape = self.shape_of(a).to_vec();
-        self.push_op(Op::Scale(a, s), shape)
     }
 
     /// Adds per-channel bias `b` (`[C]`) to image `x` (`[C,F,T]`).
@@ -318,12 +295,6 @@ impl<S: Scalar> Graph<S> {
     pub fn sigmoid(&mut self, x: VarId) -> VarId {
         let shape = self.shape_of(x).to_vec();
         self.push_op(Op::Sigmoid(x), shape)
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, x: VarId) -> VarId {
-        let shape = self.shape_of(x).to_vec();
-        self.push_op(Op::Tanh(x), shape)
     }
 
     /// Same-padded 2-D convolution with dilation `(dil_f, dil_t)`.
@@ -498,26 +469,12 @@ impl<S: Scalar> Graph<S> {
                     *o = x + y;
                 }
             }
-            Op::Sub(a, b) => {
-                let (va, vb) = (v(a), v(b));
-                for (o, (&x, &y)) in
-                    node.value.data_mut().iter_mut().zip(va.data().iter().zip(vb.data()))
-                {
-                    *o = x - y;
-                }
-            }
             Op::Mul(a, b) => {
                 let (va, vb) = (v(a), v(b));
                 for (o, (&x, &y)) in
                     node.value.data_mut().iter_mut().zip(va.data().iter().zip(vb.data()))
                 {
                     *o = x * y;
-                }
-            }
-            Op::Scale(a, s) => {
-                let s = S::from_f32(s);
-                for (o, &x) in node.value.data_mut().iter_mut().zip(v(a).data()) {
-                    *o = x * s;
                 }
             }
             Op::AddBias(x, b) => {
@@ -540,11 +497,6 @@ impl<S: Scalar> Graph<S> {
             Op::Sigmoid(a) => {
                 for (o, &x) in node.value.data_mut().iter_mut().zip(v(a).data()) {
                     *o = S::ONE / (S::ONE + (-x).exp());
-                }
-            }
-            Op::Tanh(a) => {
-                for (o, &x) in node.value.data_mut().iter_mut().zip(v(a).data()) {
-                    *o = x.tanh();
                 }
             }
             Op::Conv2d { x, w, dil_f, dil_t } => {
@@ -643,18 +595,6 @@ impl<S: Scalar> Graph<S> {
                     }
                 });
             }
-            Op::Sub(a, b) => {
-                acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for (gi, &u) in g.data_mut().iter_mut().zip(go.data()) {
-                        *gi += u;
-                    }
-                });
-                acc!(b, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for (gi, &u) in g.data_mut().iter_mut().zip(go.data()) {
-                        *gi -= u;
-                    }
-                });
-            }
             Op::Mul(a, b) => {
                 if a == b {
                     let two = S::from_f32(2.0);
@@ -679,14 +619,6 @@ impl<S: Scalar> Graph<S> {
                         }
                     });
                 }
-            }
-            Op::Scale(a, s) => {
-                let s = S::from_f32(s);
-                acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for (gi, &u) in g.data_mut().iter_mut().zip(go.data()) {
-                        *gi += u * s;
-                    }
-                });
             }
             Op::AddBias(x, b) => {
                 let (c, rest_len) = {
@@ -721,14 +653,6 @@ impl<S: Scalar> Graph<S> {
                 acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
                     for ((gi, &u), &yo) in g.data_mut().iter_mut().zip(go.data()).zip(y.data()) {
                         *gi += u * yo * (S::ONE - yo);
-                    }
-                });
-            }
-            Op::Tanh(a) => {
-                let y = &node.value;
-                acc!(a, |_v: &Tensor<S>, g: &mut Tensor<S>| {
-                    for ((gi, &u), &yo) in g.data_mut().iter_mut().zip(go.data()).zip(y.data()) {
-                        *gi += u * (S::ONE - yo * yo);
                     }
                 });
             }
@@ -929,13 +853,9 @@ mod tests {
         let a = g.input(Tensor::from_vec(&[3], vec![1.0, -2.0, 3.0]));
         let b = g.input(Tensor::from_vec(&[3], vec![4.0, 5.0, -6.0]));
         let s = g.add(a, b);
-        let d = g.sub(a, b);
         let m = g.mul(a, b);
-        let sc = g.scale(a, 2.0);
         assert_eq!(g.value(s).data(), &[5.0, 3.0, -3.0]);
-        assert_eq!(g.value(d).data(), &[-3.0, -7.0, 9.0]);
         assert_eq!(g.value(m).data(), &[4.0, -10.0, -18.0]);
-        assert_eq!(g.value(sc).data(), &[2.0, -4.0, 6.0]);
     }
 
     #[test]
@@ -944,10 +864,8 @@ mod tests {
         let x = g.input(Tensor::from_vec(&[2], vec![1.0, -1.0]));
         let r = g.leaky_relu(x, 0.1);
         let s = g.sigmoid(x);
-        let t = g.tanh(x);
         assert_eq!(g.value(r).data(), &[1.0, -0.1]);
         assert!((g.value(s).data()[0] - 0.7310586).abs() < 1e-5);
-        assert!((g.value(t).data()[1] + 0.7615942).abs() < 1e-5);
     }
 
     #[test]
@@ -972,12 +890,11 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_sigmoid_tanh() {
+    fn gradcheck_sigmoid() {
         let mut g: Graph = Graph::new();
         let a = rand_leaf(&mut g, &[6], 4, true);
         let s = g.sigmoid(a);
-        let t = g.tanh(s);
-        let loss = g.sum(t);
+        let loss = g.sum(s);
         gradcheck(&mut g, loss, a, 0.05);
     }
 

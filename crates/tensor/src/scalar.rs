@@ -65,8 +65,6 @@ pub trait Scalar:
     fn exp(self) -> Self;
     /// Natural logarithm.
     fn ln(self) -> Self;
-    /// Hyperbolic tangent.
-    fn tanh(self) -> Self;
     /// Absolute value.
     fn abs(self) -> Self;
     /// Integer power.
@@ -114,10 +112,6 @@ macro_rules! impl_scalar {
             #[inline]
             fn ln(self) -> Self {
                 self.ln()
-            }
-            #[inline]
-            fn tanh(self) -> Self {
-                self.tanh()
             }
             #[inline]
             fn abs(self) -> Self {

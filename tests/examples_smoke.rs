@@ -1,7 +1,7 @@
 //! Miniature versions of the `examples/*.rs` main paths, so the examples'
 //! underlying flows cannot silently rot. Sizes are cut far below the
-//! examples' defaults (CI additionally compiles the examples themselves
-//! via `cargo build --examples`).
+//! examples' defaults (`cargo test` additionally compiles the examples
+//! themselves).
 
 use dhf::baselines::{masking::SpectralMasking, SeparationContext, Separator};
 use dhf::core::f0::F0Estimator;

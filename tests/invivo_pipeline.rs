@@ -2,8 +2,7 @@
 //! separation → AC/DC extraction → modulation ratio → calibration →
 //! correlation, mirroring the Figure-6 bench at test-sized budgets.
 
-use dhf::metrics::pearson;
-use dhf::oximetry::{ac_amplitude, dc_level, modulation_ratio, Calibration};
+use dhf::oximetry::{ac_amplitude, dc_level, modulation_ratio, spo2_correlation};
 use dhf::synth::invivo::{simulate, InvivoConfig};
 
 /// Oracle chain: use the ground-truth fetal AC. This validates the
@@ -29,8 +28,7 @@ fn oracle_fetal_signal_recovers_sao2_almost_perfectly() {
         ratios.push(modulation_ratio(ac[0], dc[0], ac[1], dc[1]));
         sao2.push(draw.sao2);
     }
-    let cal = Calibration::fit(&ratios, &sao2);
-    let corr = pearson(&cal.predict_many(&ratios), &sao2);
+    let corr = spo2_correlation(&ratios, &sao2);
     assert!(corr > 0.9, "oracle correlation {corr:.3}");
 }
 
@@ -61,8 +59,8 @@ fn unseparated_signal_degrades_sao2_recovery() {
         raw.push(r[1][0] / r[1][1]);
         sao2.push(draw.sao2);
     }
-    let corr_oracle = pearson(&Calibration::fit(&oracle, &sao2).predict_many(&oracle), &sao2);
-    let corr_raw = pearson(&Calibration::fit(&raw, &sao2).predict_many(&raw), &sao2);
+    let corr_oracle = spo2_correlation(&oracle, &sao2);
+    let corr_raw = spo2_correlation(&raw, &sao2);
     assert!(
         corr_oracle > corr_raw + 0.1,
         "oracle {corr_oracle:.3} must clearly beat raw {corr_raw:.3}"

@@ -167,96 +167,6 @@ pub fn fmt_cell(sdr: f64, mse_v: f64) -> String {
     }
 }
 
-/// Minimal JSON object builder for machine-readable bench artifacts
-/// (`BENCH_*.json`). The workspace is offline/no-serde, so this renders
-/// the small flat-ish objects the perf-tracking pipeline needs by hand.
-#[derive(Debug, Default, Clone)]
-pub struct JsonObject {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObject {
-    /// An empty object.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn push(mut self, key: &str, rendered: String) -> Self {
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Adds a numeric field (non-finite values render as `null`).
-    pub fn num(self, key: &str, v: f64) -> Self {
-        let rendered = if v.is_finite() { format!("{v}") } else { "null".to_string() };
-        self.push(key, rendered)
-    }
-
-    /// Adds an integer field.
-    pub fn int(self, key: &str, v: u64) -> Self {
-        self.push(key, format!("{v}"))
-    }
-
-    /// Adds a string field (escapes quotes and backslashes).
-    pub fn str(self, key: &str, v: &str) -> Self {
-        let escaped: String = v
-            .chars()
-            .flat_map(|c| match c {
-                '"' => vec!['\\', '"'],
-                '\\' => vec!['\\', '\\'],
-                '\n' => vec!['\\', 'n'],
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect();
-        self.push(key, format!("\"{escaped}\""))
-    }
-
-    /// Adds a nested object field.
-    pub fn obj(self, key: &str, o: JsonObject) -> Self {
-        let rendered = o.render();
-        self.push(key, rendered)
-    }
-
-    /// Renders the object as a JSON string.
-    pub fn render(&self) -> String {
-        let body: Vec<String> = self.fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Renders a [`dhf_obs::StageBreakdown`] as a nested JSON object: one
-/// object per non-empty stage (count, mean/p50/p95/max in milliseconds),
-/// plus the ring-overflow tally. This is the `stage_breakdown` block the
-/// `BENCH_*.json` artifacts carry.
-pub fn stage_breakdown_json(b: &dhf_obs::StageBreakdown) -> JsonObject {
-    let ms = |v: Option<f64>| v.map_or(f64::NAN, |s| s * 1e3);
-    let mut out = JsonObject::new();
-    for (stage, h) in b.iter_nonempty() {
-        out = out.obj(
-            stage.name(),
-            JsonObject::new()
-                .int("count", h.count())
-                .num("mean_ms", ms(h.mean()))
-                .num("p50_ms", ms(h.percentile(50.0)))
-                .num("p95_ms", ms(h.percentile(95.0)))
-                .num("max_ms", ms(h.max())),
-        );
-    }
-    out.int("dropped_events", b.dropped_events())
-}
-
-/// Appends `obj` as one JSON-lines record to `<name>` in
-/// [`bench_json_dir`] and returns the path. Used by the loadgen's
-/// periodic telemetry scrape (`stage_profile.jsonl`).
-pub fn append_jsonl(name: &str, obj: &JsonObject) -> PathBuf {
-    let path = bench_json_dir().join(name);
-    let mut file =
-        std::fs::OpenOptions::new().create(true).append(true).open(&path).expect("open jsonl");
-    writeln!(file, "{}", obj.render()).expect("append jsonl");
-    path
-}
-
 /// The workspace `target/` directory, anchored at the workspace root
 /// (`CARGO_TARGET_DIR`, else `crates/bench/../../target`) so bench
 /// targets — whose working directory is the package dir — and bins
@@ -265,24 +175,6 @@ fn workspace_target_dir() -> PathBuf {
     std::env::var("CARGO_TARGET_DIR").map(PathBuf::from).unwrap_or_else(|_| {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..").join("target")
     })
-}
-
-/// Directory for machine-readable bench JSON (override with
-/// `DHF_BENCH_JSON_DIR`; defaults to `<workspace>/target/bench-artifacts`).
-pub fn bench_json_dir() -> PathBuf {
-    let dir = std::env::var("DHF_BENCH_JSON_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| workspace_target_dir().join("bench-artifacts"));
-    std::fs::create_dir_all(&dir).expect("create bench json dir");
-    dir
-}
-
-/// Writes `obj` as `<name>` (e.g. `BENCH_dsp.json`) into
-/// [`bench_json_dir`] and returns the path.
-pub fn write_bench_json(name: &str, obj: &JsonObject) -> PathBuf {
-    let path = bench_json_dir().join(name);
-    std::fs::write(&path, obj.render() + "\n").expect("write bench json");
-    path
 }
 
 /// Output directory for figure artefacts

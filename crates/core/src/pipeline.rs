@@ -24,29 +24,30 @@ pub struct DhfConfig {
     pub window: usize,
     /// Unwarped STFT hop (samples).
     pub hop: usize,
-    /// Interferer harmonics concealed per source.
-    pub mask_harmonics: usize,
-    /// Half-width of each concealed band (unwarped Hz).
-    pub mask_bandwidth_hz: f64,
     /// In-painting settings.
     pub inpaint: InpaintConfig,
-    /// Number of target harmonics the output comb keeps on full-window
-    /// rounds (additionally capped so the comb never reaches beyond
-    /// [`DhfConfig::max_source_hz`] in original-space frequency).
-    pub comb_harmonics: usize,
-    /// Half-width of each comb tooth (unwarped Hz).
-    pub comb_bandwidth_hz: f64,
-    /// Highest original-space frequency any source is expected to occupy
-    /// (the paper band-limits everything to 12 Hz, §4.2).
-    pub max_source_hz: f64,
     /// Time dilation used when the hidden fraction is small.
     pub dilation_low: usize,
     /// Time dilation used when the hidden fraction is large (longer
     /// masked sections need a longer temporal reach, §4.2).
     pub dilation_high: usize,
-    /// Hidden-fraction threshold switching between the two dilations.
-    pub dilation_switch: f64,
 }
+
+/// Interferer harmonics concealed per source.
+const MASK_HARMONICS: usize = 5;
+/// Half-width of each concealed band (unwarped Hz).
+const MASK_BANDWIDTH_HZ: f64 = 0.16;
+/// Number of target harmonics the output comb keeps on full-window
+/// rounds (additionally capped so the comb never reaches beyond
+/// [`MAX_SOURCE_HZ`] in original-space frequency).
+const COMB_HARMONICS: usize = 7;
+/// Half-width of each comb tooth (unwarped Hz).
+const COMB_BANDWIDTH_HZ: f64 = 0.22;
+/// Highest original-space frequency any source is expected to occupy
+/// (the paper band-limits everything to 12 Hz, §4.2).
+const MAX_SOURCE_HZ: f64 = 12.0;
+/// Hidden-fraction threshold switching between the two dilations.
+const DILATION_SWITCH: f64 = 0.35;
 
 impl Default for DhfConfig {
     fn default() -> Self {
@@ -54,15 +55,9 @@ impl Default for DhfConfig {
             fs_prime: 16.0,
             window: 128,
             hop: 32,
-            mask_harmonics: 5,
-            mask_bandwidth_hz: 0.16,
             inpaint: InpaintConfig::default(),
-            comb_harmonics: 7,
-            comb_bandwidth_hz: 0.22,
-            max_source_hz: 12.0,
             dilation_low: 13,
             dilation_high: 15,
-            dilation_switch: 0.35,
         }
     }
 }
@@ -251,7 +246,7 @@ impl RoundContext {
 
     /// Number of FFT plans built so far by the context's engine; stays
     /// constant once every transform size in play has been seen (the
-    /// plan-cache reuse invariant the throughput bench checks).
+    /// plan-cache reuse invariant the streaming tests pin).
     pub fn fft_plans_built(&self) -> usize {
         self.engine.planner().plans_built()
     }
@@ -271,15 +266,6 @@ impl RoundContext {
     /// Number of sources with a trained deep prior currently resident.
     pub fn warm_resident(&self) -> usize {
         self.warm_slots.iter().filter(|s| s.is_warm()).count()
-    }
-
-    /// Drops every resident deep prior. The next round per source fits
-    /// cold — callers use this to make a reused context behave like a
-    /// fresh one (the streaming engine's `reset`).
-    pub fn clear_warm_state(&mut self) {
-        for slot in &mut self.warm_slots {
-            slot.clear();
-        }
     }
 
     /// Full multi-round separation, reusing this context's buffers.
@@ -461,13 +447,13 @@ impl RoundContext {
         // Interferer ridges wander further (in unwarped Hz) within the
         // longer original-time windows of shrunk rounds, so the concealed
         // band widens proportionally.
-        let mask_bw = cfg.mask_bandwidth_hz * (cfg.window as f64 / window as f64);
+        let mask_bw = MASK_BANDWIDTH_HZ * (cfg.window as f64 / window as f64);
         self.spec.magnitude_into(&mut self.magnitude);
         self.mask.rebuild(
             &stft_cfg,
             frames,
             &self.ratios,
-            cfg.mask_harmonics,
+            MASK_HARMONICS,
             mask_bw,
             &self.magnitude,
         );
@@ -476,11 +462,8 @@ impl RoundContext {
 
         // Dilation by masking situation (§4.2), capped so the receptive
         // field stays inside the spectrogram.
-        let wanted = if hidden_fraction > cfg.dilation_switch {
-            cfg.dilation_high
-        } else {
-            cfg.dilation_low
-        };
+        let wanted =
+            if hidden_fraction > DILATION_SWITCH { cfg.dilation_high } else { cfg.dilation_low };
         let dilation = wanted.min((frames / 4).max(1));
 
         // Per-round in-painting config (a reused copy of `cfg.inpaint`):
@@ -535,11 +518,11 @@ impl RoundContext {
             // not resynthesized.
             let mean_f0 = target_track.iter().sum::<f64>() / target_track.len() as f64;
             let comb_harmonics = if mean_f0 > 0.0 {
-                cfg.comb_harmonics.min(((cfg.max_source_hz / mean_f0).floor() as usize).max(1))
+                COMB_HARMONICS.min(((MAX_SOURCE_HZ / mean_f0).floor() as usize).max(1))
             } else {
-                cfg.comb_harmonics
+                COMB_HARMONICS
             };
-            let gain = target_comb_gain(&stft_cfg, comb_harmonics, cfg.comb_bandwidth_hz);
+            let gain = target_comb_gain(&stft_cfg, comb_harmonics, COMB_BANDWIDTH_HZ);
             self.spec.scale_bins(&gain);
         }
         drop(apply_span);

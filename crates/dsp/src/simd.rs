@@ -54,8 +54,8 @@
 //! 4. Extend the bit-identity proptests with it.
 //!
 //! A hand-written AVX2 form replaces a twin only when it beats the twin
-//! in the `throughput` bench's per-kernel A/B *and* the gain shows up end
-//! to end.
+//! in the `kernels` bench's per-kernel dispatch A/B *and* the gain shows
+//! up end to end.
 
 // This module is the one sanctioned exception to the workspace-wide
 // `unsafe_code = "deny"`: every unsafe block is a call into the `avx2`

@@ -15,9 +15,7 @@
 //!   [`StageBreakdown`].
 //! - **Runtime-gated by one relaxed atomic**: with tracing disabled
 //!   (the default) a span is a single relaxed load and a branch —
-//!   measured well under 1% of pipeline throughput. The `obs-off` cargo
-//!   feature pins [`enabled`] to a constant `false` so the optimizer
-//!   deletes even the branch.
+//!   measured well under 1% of pipeline throughput.
 //!
 //! ```
 //! use dhf_obs::{self as obs, Stage, StageBreakdown};
@@ -52,20 +50,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// relaxed load + branch per span site until someone opts in.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether tracing is currently enabled.
-///
-/// A constant `false` under the `obs-off` feature (the load is never
-/// executed), otherwise one relaxed atomic load.
+/// Whether tracing is currently enabled: one relaxed atomic load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    !cfg!(feature = "obs-off") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns tracing on or off process-wide.
 ///
 /// Takes effect on the next span site each thread passes (relaxed
 /// ordering — a span already in flight on another thread may still
-/// record). A no-op under the `obs-off` feature.
+/// record).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

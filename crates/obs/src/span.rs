@@ -121,23 +121,6 @@ mod tests {
     // events.
     static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    // With tracing compiled out nothing records, so the recording tests
-    // are feature-gated; the `obs-off` contract itself is covered below.
-    #[cfg(feature = "obs-off")]
-    #[test]
-    fn obs_off_pins_the_gate_shut() {
-        let _serial = GATE.lock().unwrap();
-        crate::set_enabled(true);
-        assert!(!crate::enabled());
-        {
-            let _span = span(Stage::NnFit);
-        }
-        record(Stage::NnFit, 1e-3);
-        crate::set_enabled(false);
-        assert_eq!(pending_events(), 0);
-    }
-
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn span_records_when_enabled_and_not_when_disabled() {
         let _serial = GATE.lock().unwrap();
@@ -159,7 +142,6 @@ mod tests {
         assert!(b.stage(Stage::MaskBuild).count() > disabled_count);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn record_filters_junk_durations() {
         let _serial = GATE.lock().unwrap();
@@ -176,7 +158,6 @@ mod tests {
         assert!((p50 - 2.5e-3).abs() < 1e-9, "p50 {p50}");
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn ring_overflow_is_counted_not_silently_rotated() {
         let _serial = GATE.lock().unwrap();

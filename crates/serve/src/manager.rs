@@ -829,9 +829,9 @@ mod tests {
         let n = 6200;
         let (mix, tracks) = make_mix(fs, n, 3);
         let manager = SessionManager::new(ServeConfig::new(1).unwrap());
-        // HPSS front filter on, so the artifact-scenario session shape
-        // (the one `loadgen DHF_SCENARIO=artifact` opens) is the one
-        // whose stage profile the exporters must carry.
+        // HPSS front filter on, so the session shape paperbench's
+        // `serve_overhead` workload opens is the one whose stage profile
+        // the exporters must carry.
         let scfg = stream_cfg(3000, 600).with_hpss_front(dhf_stream::HpssFrontConfig::default());
         let id = manager.open(fs, 2, scfg).unwrap();
         dhf_obs::set_enabled(true);

@@ -14,10 +14,11 @@
 //! made worker-side results diverge from serial ones fails here first.
 
 use dhf_core::DhfConfig;
-use dhf_serve::{ServeConfig, SessionManager};
+use dhf_serve::{ServeConfig, ServeError, SessionManager};
 use dhf_stream::{separate_streamed, HpssFrontConfig, StreamingConfig};
 use dhf_synth::artifact::{self, ArtifactConfig};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Two drifting quasi-periodic sources (the shared `dhf_synth` fixture),
 /// parameterized per session so every concurrent stream is distinct.
@@ -174,7 +175,7 @@ proptest! {
 
     /// The artifact-bearing corollary: a session contaminated by each
     /// `dhf_synth::artifact` family and opened with the HPSS front filter
-    /// (the `DHF_SCENARIO=artifact` session shape) must still be
+    /// (the session shape of paperbench's `serve_overhead`) must still be
     /// bit-identical to its serial run — the front filter is part of the
     /// engine, so scheduling and batching must not perturb it either.
     #[test]
@@ -240,4 +241,121 @@ proptest! {
             workers, chunk_len, packet, family
         );
     }
+}
+
+/// Many clients on one manager: four client threads each stream three
+/// sessions through one [`SessionManager`] at once, against a queue that
+/// holds a single packet, so pushes race the workers and many are
+/// refused with `Busy` and retried. A reader thread snapshots and renders
+/// the telemetry throughout. Every session must still match its serial
+/// run, and the fleet counters must account for every sample and every
+/// refusal the clients saw.
+#[test]
+fn concurrent_clients_retrying_busy_pushes_match_serial_runs() {
+    const CLIENTS: usize = 4;
+    const SESSIONS_PER_CLIENT: usize = 3;
+    const PACKET: usize = 250;
+    let fs = 100.0;
+    let n = 6500;
+    let scfg = StreamingConfig::new(3000, 600, DhfConfig::fast().with_harmonic_interp()).unwrap();
+    let streams: Vec<(Vec<f64>, Vec<Vec<f64>>)> =
+        (0..CLIENTS * SESSIONS_PER_CLIENT).map(|s| make_mix(fs, n, s)).collect();
+    let serial: Vec<(Vec<Vec<f64>>, usize)> = streams
+        .iter()
+        .map(|(mix, tracks)| separate_streamed(mix, fs, tracks, &scfg).unwrap())
+        .collect();
+
+    let manager =
+        SessionManager::new(ServeConfig::new(2).unwrap().with_queue_capacity(PACKET).unwrap());
+    let ids: Vec<_> = streams.iter().map(|_| manager.open(fs, 2, scfg.clone()).unwrap()).collect();
+    let clients_done = AtomicBool::new(false);
+
+    // Per session: the delivered sources and the close's dropped count;
+    // per client: the `Busy` refusals it retried.
+    type ClientRun = (Vec<(Vec<Vec<f64>>, usize)>, u64);
+    let runs: Vec<ClientRun> = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let (mut last_in, mut last_out, mut last_busy) = (0, 0, 0);
+            while !clients_done.load(Ordering::Acquire) {
+                let t = manager.telemetry();
+                // Each counter is a monotone atomic, so successive
+                // snapshots never see it fall.
+                assert!(t.samples_in() >= last_in && t.samples_out() >= last_out);
+                assert!(t.busy_rejections() >= last_busy);
+                (last_in, last_out, last_busy) =
+                    (t.samples_in(), t.samples_out(), t.busy_rejections());
+                assert!(t.to_string().contains("samples out"));
+                assert!(t.prometheus().contains("dhf_busy_rejections_total"));
+                std::thread::yield_now();
+            }
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (manager, ids, streams) = (&manager, &ids, &streams);
+                scope.spawn(move || {
+                    let mine = c * SESSIONS_PER_CLIENT..(c + 1) * SESSIONS_PER_CLIENT;
+                    let mut got = vec![vec![Vec::new(); 2]; SESSIONS_PER_CLIENT];
+                    let mut deliver = |k: usize, blocks: Vec<dhf_stream::StreamBlock>| {
+                        for b in blocks {
+                            assert_eq!(got[k][0].len(), b.start, "blocks out of order");
+                            for (src, est) in b.sources.iter().enumerate() {
+                                got[k][src].extend_from_slice(est);
+                            }
+                        }
+                    };
+                    let mut busy = 0u64;
+                    for lo in (0..n).step_by(PACKET) {
+                        let hi = (lo + PACKET).min(n);
+                        for (k, s) in mine.clone().enumerate() {
+                            let (mix, tracks) = &streams[s];
+                            let t: Vec<&[f64]> = tracks.iter().map(|t| &t[lo..hi]).collect();
+                            loop {
+                                let pushed = manager.push(ids[s], &mix[lo..hi], &t);
+                                let out = manager.poll(ids[s]).unwrap();
+                                assert!(out.error.is_none(), "session {s}: {:?}", out.error);
+                                deliver(k, out.blocks);
+                                match pushed {
+                                    Ok(_) => break,
+                                    Err(ServeError::Busy { .. }) => {
+                                        busy += 1;
+                                        std::thread::yield_now();
+                                    }
+                                    Err(e) => panic!("session {s}: push failed: {e}"),
+                                }
+                            }
+                        }
+                    }
+                    let mut dropped = Vec::with_capacity(SESSIONS_PER_CLIENT);
+                    for (k, s) in mine.enumerate() {
+                        let fin = manager.close(ids[s]).unwrap();
+                        assert!(fin.error.is_none(), "session {s}: {:?}", fin.error);
+                        deliver(k, fin.blocks);
+                        dropped.push(fin.dropped_samples);
+                    }
+                    (got.into_iter().zip(dropped).collect(), busy)
+                })
+            })
+            .collect();
+        // Join every client before stopping the reader, so a failed
+        // client cannot leave the reader spinning.
+        let joined: Vec<_> = clients.into_iter().map(|h| h.join()).collect();
+        clients_done.store(true, Ordering::Release);
+        reader.join().expect("telemetry reader");
+        joined.into_iter().map(|r| r.expect("client thread")).collect()
+    });
+
+    let mut busy_seen = 0u64;
+    for (c, (sessions, busy)) in runs.into_iter().enumerate() {
+        busy_seen += busy;
+        for (k, (got, dropped)) in sessions.into_iter().enumerate() {
+            let s = c * SESSIONS_PER_CLIENT + k;
+            assert_eq!(dropped, serial[s].1, "session {s}: dropped samples");
+            assert_eq!(got, serial[s].0, "session {s} served output differs from its serial run");
+        }
+    }
+    let telemetry = manager.shutdown().unwrap().telemetry;
+    let samples_in = (CLIENTS * SESSIONS_PER_CLIENT * n) as u64;
+    assert_eq!(telemetry.samples_in(), samples_in);
+    assert_eq!(telemetry.samples_out() + telemetry.dropped_samples(), samples_in);
+    assert_eq!(telemetry.busy_rejections(), busy_seen);
 }

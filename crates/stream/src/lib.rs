@@ -18,7 +18,7 @@
 //! Each chunk is separated by a persistent [`dhf_core::RoundContext`], so
 //! FFT plans, window tables, and spectrogram buffers are built once per
 //! session and reused for every chunk — the property that lets one host
-//! serve many concurrent sessions (see the `throughput` bench).
+//! serve many concurrent sessions.
 //!
 //! # Example
 //!

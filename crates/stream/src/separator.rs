@@ -112,9 +112,8 @@ pub struct StreamingSeparator {
     pending: Vec<StreamBlock>,
     /// Optional HPSS transient-rejection filter applied to each chunk
     /// before separation. Stateless across chunks (each call analyzes
-    /// only its own samples), so [`reset`](Self::reset) has nothing to
-    /// clear here — only its buffer capacities persist, which is the
-    /// point.
+    /// only its own samples); only its buffer capacities persist, so
+    /// later chunks reuse them.
     front: Option<FrontFilter>,
 }
 
@@ -214,32 +213,6 @@ impl StreamingSeparator {
     /// chunk can resume.
     pub fn warm_resident(&self) -> usize {
         self.ctx.warm_resident()
-    }
-
-    /// Rewinds the session to a fresh stream at position 0, discarding all
-    /// buffered samples, stitching state, and pending blocks — but keeping
-    /// the separation context's cached FFT plans, window tables, and
-    /// spectrogram buffers hot.
-    ///
-    /// This is the session-reuse hook for serving runtimes: recycling a
-    /// separator for a new stream of the same shape skips the first-chunk
-    /// plan-building cost entirely (see the `reset_reuses_cached_plans`
-    /// test).
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        for t in &mut self.tracks {
-            t.clear();
-        }
-        self.buf_start = 0;
-        self.ingested = 0;
-        self.next_start = 0;
-        self.chunk_index = 0;
-        self.tail.clear();
-        self.pending.clear();
-        // Warm weights belong to the stream that trained them; a new
-        // stream must cold-start so a reset session reproduces a fresh
-        // one bit for bit.
-        self.ctx.clear_warm_state();
     }
 
     /// Ingests `samples` plus each source's matching f0 values, returning
@@ -548,36 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_warm_state_and_reproduces_a_fresh_session() {
-        let fs = 100.0;
-        let n = 6600;
-        let (mix, _, _, tracks) = make_mix(fs, n);
-        let cfg = warm_stream_cfg(3000, 400);
-        let tracks1 = tracks[..1].to_vec();
-        let (fresh, _) = separate_streamed(&mix, fs, &tracks1, &cfg).unwrap();
-
-        let mut sep = StreamingSeparator::new(fs, 1, cfg).unwrap();
-        let refs: [&[f64]; 1] = [&tracks1[0]];
-        sep.push(&mix, &refs).unwrap();
-        sep.flush().unwrap();
-        assert!(sep.warm_resident() > 0);
-        sep.reset();
-        assert_eq!(sep.warm_resident(), 0, "reset must drop warm weights with the stream");
-
-        let mut blocks = sep.push(&mix, &refs).unwrap();
-        if let Some(b) = sep.flush().unwrap().block {
-            blocks.push(b);
-        }
-        let mut reused = vec![Vec::new(); 1];
-        for b in blocks {
-            for (src, est) in b.sources.iter().enumerate() {
-                reused[src].extend_from_slice(est);
-            }
-        }
-        assert_eq!(reused, fresh, "warm state must not leak across reset");
-    }
-
-    #[test]
     fn emits_hop_sized_blocks_with_bounded_latency() {
         let fs = 100.0;
         let n = 9000;
@@ -715,66 +658,6 @@ mod tests {
             plans_after_first,
             "steady-state chunks must reuse cached FFT plans"
         );
-    }
-
-    #[test]
-    fn reset_reuses_cached_plans_and_reproduces_a_fresh_session() {
-        let fs = 100.0;
-        let n = 7000;
-        let (mix, _, _, tracks) = make_mix(fs, n);
-        let cfg = fast_stream_cfg(3000, 400);
-
-        // Reference: a brand-new session over the stream.
-        let (fresh, fresh_dropped) = separate_streamed(&mix, fs, &tracks, &cfg).unwrap();
-
-        // Reused: run a session once, reset, run the same stream again.
-        let mut sep = StreamingSeparator::new(fs, 2, cfg).unwrap();
-        let track_refs: Vec<&[f64]> = tracks.iter().map(Vec::as_slice).collect();
-        sep.push(&mix, &track_refs).unwrap();
-        sep.flush().unwrap();
-        let plans_first_run = sep.fft_plans_built();
-
-        sep.reset();
-        assert_eq!(sep.samples_ingested(), 0);
-        assert_eq!(sep.samples_emitted(), 0);
-        let mut blocks = sep.push(&mix, &track_refs).unwrap();
-        let fin = sep.flush().unwrap();
-        if let Some(b) = fin.block {
-            blocks.push(b);
-        }
-        let mut reused = vec![Vec::new(); 2];
-        for b in blocks {
-            for (src, est) in b.sources.iter().enumerate() {
-                reused[src].extend_from_slice(est);
-            }
-        }
-        assert_eq!(fin.dropped_samples, fresh_dropped);
-        assert_eq!(reused, fresh, "a reset session must reproduce a fresh one bit-for-bit");
-        assert_eq!(
-            sep.fft_plans_built(),
-            plans_first_run,
-            "reset must keep the plan cache hot (no rebuilt plans on reuse)"
-        );
-    }
-
-    #[test]
-    fn reset_discards_pending_blocks_from_a_failed_push() {
-        let fs = 100.0;
-        let cfg = fast_stream_cfg(3000, 0);
-        let mut sep = StreamingSeparator::new(fs, 1, cfg).unwrap();
-        let n = 6000;
-        let mixed: Vec<f64> =
-            (0..n).map(|i| (std::f64::consts::TAU * 1.3 * i as f64 / fs).sin()).collect();
-        let mut track = vec![1.3f64; 3000];
-        track.resize(n, 1e-7);
-        assert!(sep.push(&mixed, &[&track]).is_err());
-
-        sep.reset();
-        let good = vec![1.3f64; n];
-        let blocks = sep.push(&mixed, &[&good]).unwrap();
-        // Post-reset blocks restart at position 0 with nothing stale mixed in.
-        assert_eq!(blocks[0].start, 0);
-        assert_eq!(blocks.iter().map(StreamBlock::len).sum::<usize>(), 6000);
     }
 
     #[test]

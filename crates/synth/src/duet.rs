@@ -1,7 +1,7 @@
 //! The shared two-source "drifting duet" test fixture.
 //!
-//! The serving layer (serve tests, `loadgen`, the `serve_sessions`
-//! example and its smoke test) exercises its machinery on one signal
+//! The serving layer (serve tests, the `serve_sessions` example and its
+//! smoke test) exercises its machinery on one signal
 //! family: two quasi-periodic sources whose fundamentals drift
 //! sinusoidally fast enough that every analysis chunk sees the full
 //! frequency-ratio range (a ratio that *locks* near an integer for a

@@ -365,8 +365,8 @@ impl RoundContext {
     /// short-lived contexts too). `n` is the original signal length.
     ///
     /// Bin frequency `k·fs/n` is monotone in `k`, so the included bins are
-    /// one contiguous run, summed with the deterministic reduction kernel
-    /// over the complex buffer's raw lanes (`Σ re² + im²`).
+    /// one contiguous run, summed with the fixed-order reduction kernel
+    /// (`Σ re² + im²`).
     fn band_energy(&self, n: usize, fs: f64, lo: f64, hi: f64) -> f64 {
         let f_of = |k: usize| k as f64 * fs / n as f64;
         let bins = self.band_half.len();
@@ -377,7 +377,7 @@ impl RoundContext {
             return 0.0;
         }
         let k1 = (k0..bins).take_while(|&k| f_of(k) <= hi).last().unwrap_or(k0);
-        dhf_dsp::simd::sum_sq(dhf_dsp::simd::complex_lanes(&self.band_half[k0..=k1]))
+        dhf_dsp::simd::sum_sq(&self.band_half[k0..=k1])
     }
 
     /// One DHF round targeting source `si` of the given residual

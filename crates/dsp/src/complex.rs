@@ -19,9 +19,6 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// let c = a * b;
 /// assert_eq!(c, Complex::new(5.0, 5.0));
 /// ```
-/// The layout is `#[repr(C)]` — `re` at offset 0, `im` at offset 8 — so a
-/// `[Complex]` buffer can be reinterpreted as interleaved `[re, im, re,
-/// im, …]` `f64` lanes by the SIMD kernel layer ([`crate::simd`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Complex {

@@ -305,7 +305,9 @@ impl FftPlanner {
         }
         self.transform(buf, true);
         let scale = 1.0 / n as f64;
-        simd::scale_in_place(simd::complex_lanes_mut(buf), scale);
+        for c in buf.iter_mut() {
+            *c = c.scale(scale);
+        }
     }
 
     fn ensure_real(&mut self, n: usize) {

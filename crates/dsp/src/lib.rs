@@ -7,6 +7,8 @@
 //!   radix-2 transform, Bluestein's algorithm for arbitrary lengths, and a
 //!   packed real transform (an N-point real DFT via one N/2-point complex
 //!   FFT) behind one plan-cached [`fft::FftPlanner`].
+//! * The spectral kernels ([`simd`]) the FFT and STFT inner loops run
+//!   through: one safe definition each, with a fixed operation order.
 //! * Short-time Fourier analysis ([`stft`]) with COLA-correct inversion,
 //!   reading and writing the flat SoA [`Spectrogram`] workspace (contiguous
 //!   `re`/`im` planes, one half-spectrum slice per frame).

@@ -262,9 +262,8 @@ impl Spectrogram {
         out.clear();
         out.resize(self.bins * self.frames, 0.0);
         // Magnitudes over the whole contiguous planes in one kernel pass
-        // (√(re²+im²) rather than `hypot` — exactly rounded and immune to
-        // overflow at any magnitude a spectrogram can hold), then a scalar
-        // transpose into the bin-major image.
+        // (√(re²+im²) rather than `hypot`; see `simd::magnitude_into`),
+        // then a scalar transpose into the bin-major image.
         let mut flat = vec![0.0; self.re.len()];
         simd::magnitude_into(&mut flat, &self.re, &self.im);
         for m in 0..self.frames {

@@ -2,23 +2,6 @@
 
 use crate::ServeError;
 
-/// What a [`SessionManager`](crate::SessionManager) does when a push would
-/// overflow a session's bounded ingestion queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Reject the push with [`ServeError::Busy`]; the caller retries
-    /// later. Lossless — nothing already queued is touched.
-    #[default]
-    Busy,
-    /// Evict the oldest queued packets until the new one fits, then accept
-    /// it. Lossy but wait-free — the freshest data always gets in, which
-    /// is the right trade for live monitoring dashboards. Evicted samples
-    /// are reported in the [`PushReceipt`](crate::PushReceipt) and counted
-    /// in telemetry; the session's engine never sees them, so its output
-    /// stream compacts over the gap.
-    DropOldest,
-}
-
 /// Configuration of a [`SessionManager`](crate::SessionManager).
 ///
 /// `workers` fixes the shard count: sessions are hash-sharded onto workers
@@ -26,17 +9,21 @@ pub enum BackpressurePolicy {
 /// and window caches (both the per-session [`dhf_core::RoundContext`] and
 /// the thread-local planner behind `dhf_dsp`'s free functions) stay hot
 /// across all of its sessions.
+///
+/// A push that would overflow a session's bounded ingestion queue is
+/// rejected with [`ServeError::Busy`] and the caller retries later;
+/// nothing already queued is touched, so a session's output depends only
+/// on the samples it accepted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     workers: usize,
     queue_capacity: usize,
-    backpressure: BackpressurePolicy,
 }
 
 impl ServeConfig {
     /// Creates a configuration with `workers` shard threads, the default
     /// per-session queue capacity (30 000 samples — five minutes of a
-    /// 100 Hz PPG stream), and [`BackpressurePolicy::Busy`].
+    /// 100 Hz PPG stream).
     ///
     /// # Errors
     ///
@@ -48,7 +35,7 @@ impl ServeConfig {
                 message: "need at least one worker shard".into(),
             });
         }
-        Ok(ServeConfig { workers, queue_capacity: 30_000, backpressure: BackpressurePolicy::Busy })
+        Ok(ServeConfig { workers, queue_capacity: 30_000 })
     }
 
     /// Sets the per-session ingestion-queue capacity in samples.
@@ -67,13 +54,6 @@ impl ServeConfig {
         Ok(self)
     }
 
-    /// Sets the backpressure policy applied when a push overflows a
-    /// session's queue.
-    pub fn with_backpressure(mut self, policy: BackpressurePolicy) -> Self {
-        self.backpressure = policy;
-        self
-    }
-
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
         self.workers
@@ -82,11 +62,6 @@ impl ServeConfig {
     /// Per-session ingestion-queue capacity in samples.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
-    }
-
-    /// The configured backpressure policy.
-    pub fn backpressure(&self) -> BackpressurePolicy {
-        self.backpressure
     }
 }
 
@@ -99,11 +74,8 @@ mod tests {
         assert!(matches!(ServeConfig::new(0), Err(ServeError::Config { name: "workers", .. })));
         let cfg = ServeConfig::new(4).unwrap();
         assert_eq!(cfg.workers(), 4);
-        assert_eq!(cfg.backpressure(), BackpressurePolicy::Busy);
         assert!(cfg.clone().with_queue_capacity(0).is_err());
         let cfg = cfg.with_queue_capacity(1234).unwrap();
         assert_eq!(cfg.queue_capacity(), 1234);
-        let cfg = cfg.with_backpressure(BackpressurePolicy::DropOldest);
-        assert_eq!(cfg.backpressure(), BackpressurePolicy::DropOldest);
     }
 }

@@ -11,8 +11,8 @@
 //!   open        │ bounded per-session     ├─ session a: StreamingSeparator
 //!   push        │ ingestion queues        └─ session b: StreamingSeparator
 //!   poll        ├──────────────────────► shard 1 [worker thread]
-//!   close       │  Busy / DropOldest      └─ session c: ...
-//!   shutdown    ▼  backpressure
+//!   close       │  Busy when full         └─ session c: ...
+//!   shutdown    ▼  (backpressure)
 //!            Telemetry: per-shard samples/sec, queue depths, latency p50/p95/p99
 //! ```
 //!
@@ -25,9 +25,9 @@
 //! * **Batched scheduling** — a worker drains every ready queue in one
 //!   lock acquisition and then separates packet after packet, session by
 //!   session, while clients keep enqueuing concurrently.
-//! * **Backpressure** — per-session bounded ingestion queues either
-//!   reject overflowing pushes ([`BackpressurePolicy::Busy`]) or evict
-//!   the oldest queued packets ([`BackpressurePolicy::DropOldest`]).
+//! * **Backpressure** — per-session bounded ingestion queues reject an
+//!   overflowing push with [`ServeError::Busy`]; the client retries, and
+//!   nothing already queued is touched.
 //! * **Telemetry** — [`Telemetry`] snapshots per-shard throughput, queue
 //!   depth, and per-packet enqueue→processed latency percentiles backed by
 //!   [`dhf_metrics::LatencyHistogram`].
@@ -54,7 +54,7 @@ mod session;
 mod shard;
 mod telemetry;
 
-pub use config::{BackpressurePolicy, ServeConfig};
+pub use config::ServeConfig;
 pub use manager::{SessionManager, ShutdownReport};
 pub use session::{CloseOutcome, PushReceipt, SessionId, SessionKind, SessionOutput};
 pub use telemetry::{ShardSnapshot, Spo2Stats, Telemetry};
@@ -89,9 +89,8 @@ pub enum ServeError {
     /// [`dhf_oximetry::OximetryConfig`], or misaligned wavelength
     /// channels); nothing was buffered.
     Oximetry(OximetryError),
-    /// The push would overflow the session's bounded ingestion queue
-    /// under [`BackpressurePolicy::Busy`] (or the packet alone exceeds
-    /// the capacity). Retry after draining via
+    /// The push would overflow the session's bounded ingestion queue (or
+    /// the packet alone exceeds the capacity). Retry after draining via
     /// [`SessionManager::poll`](crate::SessionManager::poll) or a pause.
     Busy {
         /// The backpressured session.

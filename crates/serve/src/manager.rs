@@ -1,6 +1,6 @@
 //! The session manager: lifecycle API over the sharded worker pool.
 
-use crate::config::{BackpressurePolicy, ServeConfig};
+use crate::config::ServeConfig;
 use crate::session::{
     CloseOutcome, PushReceipt, SessionId, SessionKind, SessionOutput, SessionShared,
 };
@@ -175,9 +175,9 @@ impl SessionManager {
     /// Enqueues a packet of samples (with each source's matching f0
     /// values) for asynchronous separation.
     ///
-    /// Validation is synchronous — a rejected push buffers nothing — and
-    /// admission is governed by the configured
-    /// [`BackpressurePolicy`]. The separation itself happens on the
+    /// Validation is synchronous — a rejected push buffers nothing — and a
+    /// push that would overflow the session's bounded queue is refused
+    /// with [`ServeError::Busy`]. The separation itself happens on the
     /// session's worker; collect results with [`poll`](Self::poll).
     ///
     /// # Errors
@@ -186,8 +186,8 @@ impl SessionManager {
     /// * [`ServeError::SessionFailed`] — a previous chunk failed; the
     ///   session only accepts [`poll`](Self::poll) / [`close`](Self::close).
     /// * [`ServeError::Session`] — track count/length/value validation.
-    /// * [`ServeError::Busy`] — queue full under [`BackpressurePolicy::Busy`],
-    ///   or the packet alone exceeds the queue capacity.
+    /// * [`ServeError::Busy`] — the queue cannot take the packet, or the
+    ///   packet alone exceeds the queue capacity.
     pub fn push(
         &self,
         id: SessionId,
@@ -201,8 +201,8 @@ impl SessionManager {
     /// the shared f0 tracks) for asynchronous oximetry.
     ///
     /// Semantics mirror [`push`](Self::push): validation is synchronous
-    /// and buffers nothing on rejection, admission is governed by the
-    /// configured [`BackpressurePolicy`], and the SpO2 windows appear in
+    /// and buffers nothing on rejection, a full queue refuses the push with
+    /// [`ServeError::Busy`], and the SpO2 windows appear in
     /// [`poll`](Self::poll)'s [`SessionOutput::spo2`]. Queue accounting is
     /// per *stream* sample — a packet of `n` samples per channel occupies
     /// `n` units of queue capacity, since the channels advance the stream
@@ -225,7 +225,7 @@ impl SessionManager {
     }
 
     /// The admission path shared by both push APIs: looks the session up,
-    /// checks the packet, applies the backpressure policy, and enqueues
+    /// checks the packet, refuses it if the queue is full, and enqueues
     /// it. `lambda2` is the oximetry session's second channel.
     fn ingest(
         &self,
@@ -273,15 +273,14 @@ impl SessionManager {
         let mut st = handle.shared.state.lock().unwrap();
         let q = st.queues.get_mut(&id.0).ok_or(ServeError::UnknownSession(id))?;
 
-        // Bad values are located by absolute position in the accepted
-        // stream (under `DropOldest` evictions the engine's own stream
-        // compacts, so engine-side positions can run behind these).
+        // Bad values are located by absolute position in the session's
+        // stream.
         checked
             .map_err(|e| ServeError::Session(StreamError::Tracks(e.offset(q.enqueued_total))))?;
         if incoming == 0 {
-            return Ok(PushReceipt { queued_samples: q.queued_samples, dropped_samples: 0 });
+            return Ok(PushReceipt { queued_samples: q.queued_samples });
         }
-        if incoming > capacity {
+        if q.queued_samples + incoming > capacity {
             handle.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Busy {
                 session: id,
@@ -289,28 +288,6 @@ impl SessionManager {
                 incoming,
                 capacity,
             });
-        }
-        let mut dropped = 0usize;
-        if q.queued_samples + incoming > capacity {
-            match self.cfg.backpressure() {
-                BackpressurePolicy::Busy => {
-                    handle.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServeError::Busy {
-                        session: id,
-                        queued_samples: q.queued_samples,
-                        incoming,
-                        capacity,
-                    });
-                }
-                BackpressurePolicy::DropOldest => {
-                    while q.queued_samples + incoming > capacity {
-                        let evicted =
-                            q.items.pop_front().expect("queued_samples > 0 implies items");
-                        q.queued_samples -= evicted.samples.len();
-                        dropped += evicted.samples.len();
-                    }
-                }
-            }
         }
         q.items.push_back(item.expect("item built for every admissible push"));
         q.queued_samples += incoming;
@@ -320,11 +297,8 @@ impl SessionManager {
         handle.counters.queue_depth_hwm.observe(queued_samples as u64);
 
         handle.counters.samples_in.fetch_add(incoming as u64, Ordering::Relaxed);
-        if dropped > 0 {
-            handle.counters.dropped_samples.fetch_add(dropped as u64, Ordering::Relaxed);
-        }
         handle.shared.cv.notify_one();
-        Ok(PushReceipt { queued_samples, dropped_samples: dropped })
+        Ok(PushReceipt { queued_samples })
     }
 
     /// Drains the session's completed output — separated blocks for
@@ -517,8 +491,7 @@ mod tests {
         for lo in (0..n).step_by(500) {
             let hi = (lo + 500).min(n);
             let t: Vec<&[f64]> = tracks.iter().map(|t| &t[lo..hi]).collect();
-            let receipt = manager.push(id, &mix[lo..hi], &t).unwrap();
-            assert_eq!(receipt.dropped_samples, 0);
+            manager.push(id, &mix[lo..hi], &t).unwrap();
             let out = manager.poll(id).unwrap();
             assert!(out.error.is_none());
             deliver(out.blocks);
@@ -613,39 +586,6 @@ mod tests {
             manager.push(id, &huge, &[&huge_track]),
             Err(ServeError::Busy { incoming: 251, capacity: 250, .. })
         ));
-    }
-
-    #[test]
-    fn drop_oldest_policy_evicts_and_reports() {
-        let fs = 100.0;
-        let cfg = ServeConfig::new(1)
-            .unwrap()
-            .with_queue_capacity(500)
-            .unwrap()
-            .with_backpressure(BackpressurePolicy::DropOldest);
-        let manager = SessionManager::new(cfg);
-        let id = manager.open(fs, 1, stream_cfg(30_000, 0)).unwrap();
-        let track = vec![1.3f64; 200];
-        let samples = vec![0.0f64; 200];
-
-        // Stuff the queue far past capacity; every push must be accepted
-        // and evictions must be reported.
-        let mut dropped_total = 0usize;
-        let mut receipt = None;
-        for _ in 0..8 {
-            let r = manager.push(id, &samples, &[&track]).unwrap();
-            dropped_total += r.dropped_samples;
-            receipt = Some(r);
-        }
-        let receipt = receipt.unwrap();
-        assert!(receipt.queued_samples <= 500, "queue bound must hold");
-        // The worker races the pushes, so we cannot pin the exact count —
-        // but pushing 1600 samples through a 500-sample queue with a
-        // 30 000-sample chunk (nothing ever emitted) must evict.
-        let telemetry = manager.telemetry();
-        assert_eq!(telemetry.busy_rejections(), 0, "DropOldest never rejects");
-        assert_eq!(dropped_total as u64, telemetry.dropped_samples());
-        assert!(dropped_total > 0, "overflow must evict under DropOldest");
     }
 
     #[test]

@@ -51,10 +51,6 @@ pub struct PushReceipt {
     /// Samples waiting in the session's ingestion queue after this push
     /// (including the pushed packet) — a live backpressure signal.
     pub queued_samples: usize,
-    /// Samples this push evicted under
-    /// [`BackpressurePolicy::DropOldest`](crate::BackpressurePolicy::DropOldest)
-    /// (always 0 under `Busy`).
-    pub dropped_samples: usize,
 }
 
 /// Output collected by [`SessionManager::poll`](crate::SessionManager::poll).

@@ -223,9 +223,12 @@ pub struct ShardSnapshot {
     /// draining every ready queue; packets-per-batch is the measure of how
     /// well the scheduler amortizes wakeups).
     pub batches_run: u64,
-    /// Pushes rejected by the `Busy` backpressure policy.
+    /// Pushes refused with [`ServeError::Busy`](crate::ServeError::Busy)
+    /// because the session's queue was full.
     pub busy_rejections: u64,
-    /// Samples evicted by `DropOldest` or skipped after a session failure.
+    /// Samples accepted but never emitted: packets skipped after a session
+    /// failed, plus what each close left unflushed (the final flush's
+    /// too-short tail, or a failed engine's stranded buffers).
     pub dropped_samples: u64,
     /// SpO2 windows emitted by this shard's oximetry sessions.
     pub spo2_updates: u64,
@@ -299,7 +302,7 @@ impl Telemetry {
         self.shards.iter().map(|s| s.samples_out).sum()
     }
 
-    /// Total samples evicted or skipped across shards.
+    /// Total samples accepted but never emitted across shards.
     pub fn dropped_samples(&self) -> u64 {
         self.shards.iter().map(|s| s.dropped_samples).sum()
     }
@@ -422,7 +425,7 @@ impl Telemetry {
             Counter("dhf_busy_rejections_total", "Pushes rejected by backpressure", |s| {
                 s.busy_rejections as f64
             }),
-            Counter("dhf_dropped_samples_total", "Samples evicted or skipped", |s| {
+            Counter("dhf_dropped_samples_total", "Samples accepted but never emitted", |s| {
                 s.dropped_samples as f64
             }),
             Counter("dhf_spo2_updates_total", "SpO2 windows emitted", |s| s.spo2_updates as f64),

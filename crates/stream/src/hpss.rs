@@ -11,9 +11,8 @@
 //! [`FrontFilter`] is the workspace's only median-mask HPSS (the soft-mask
 //! formulation of Fitzgerald), built for the streaming hot loop: one
 //! [`StftEngine`] with cached FFT plans, the SoA [`Spectrogram`]
-//! workspace, [`dhf_dsp::simd`] kernels for magnitudes and mask
-//! application (so `DHF_FORCE_SCALAR` bit-identity holds through the
-//! filter), and reusable buffers everywhere — steady state allocates
+//! workspace, the [`dhf_dsp::simd`] kernels for magnitudes and mask
+//! application, and reusable buffers everywhere — steady state allocates
 //! nothing after the first chunk. It keeps no state between calls, so one
 //! [`FrontFilter::filter`] call over a whole recording gives the offline
 //! harmonic component. `tests/hpss_properties.rs` pins its output bit for
@@ -237,7 +236,7 @@ impl FrontFilter {
         );
 
         // Frame-major soft harmonic mask, applied to both planes with the
-        // dispatched multiply kernel.
+        // multiply kernel.
         let (p, mh, mp) = (self.cfg.power, self.cfg.margin_h, self.cfg.margin_p);
         self.mask.clear();
         self.mask.reserve(bins * frames);

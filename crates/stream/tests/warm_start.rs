@@ -1,19 +1,12 @@
 //! Warm-start invariants (property and regression tests): deep-prior
 //! warm starting is a *latency* optimization, so it must not cost the
-//! things the cold path guarantees — bit-determinism per seed, dispatch
-//! independence across SIMD levels, and separation quality within a
-//! bounded gap of the cold path.
+//! things the cold path guarantees — bit-determinism per seed, and
+//! separation quality within a bounded gap of the cold path.
 
 use dhf_core::DhfConfig;
-use dhf_dsp::simd::{self, Level};
 use dhf_metrics::si_sdr_db;
 use dhf_stream::{separate_streamed, StreamingConfig};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// The dispatch override is process-global; tests pinning it must not
-/// interleave (see `dhf_dsp`'s simd_equivalence tests).
-static DISPATCH: Mutex<()> = Mutex::new(());
 
 /// Two drifting quasi-periodic sources (same family as the equivalence
 /// tests).
@@ -77,47 +70,6 @@ proptest! {
         let (b, _) = separate_streamed(&mix, fs, &tracks1, &cfg).unwrap();
         prop_assert_eq!(bits(&a), bits(&b), "chunk_len {}, overlap {}", chunk_len, overlap);
     }
-}
-
-/// Warm-started streaming is bit-identical at every SIMD dispatch level
-/// the host can run: the f32 fine-tune path inherits the kernel layer's
-/// bit-identity contract, so `DHF_FORCE_SCALAR=1` CI runs reproduce
-/// native results exactly.
-#[test]
-fn warm_streaming_is_bit_identical_across_dispatch_levels() {
-    let _guard = DISPATCH.lock().unwrap();
-    struct AutoDispatch;
-    impl Drop for AutoDispatch {
-        fn drop(&mut self) {
-            simd::force_scalar(false);
-        }
-    }
-    let _auto = AutoDispatch;
-
-    let fs = 100.0;
-    let n = 6500;
-    let (mix, _, _, tracks) = make_mix(fs, n);
-    let tracks1 = tracks[..1].to_vec();
-    let cfg = warm_cfg(3000, 400);
-
-    let mut reference: Option<(Level, Vec<Vec<u64>>)> = None;
-    for pin_scalar in [true, false] {
-        simd::force_scalar(pin_scalar);
-        let level = simd::active_level();
-        if reference.as_ref().is_some_and(|(ref_level, _)| *ref_level == level) {
-            continue; // host has no level above scalar
-        }
-        let (out, _) = separate_streamed(&mix, fs, &tracks1, &cfg).unwrap();
-        let out_bits = bits(&out);
-        match &reference {
-            None => reference = Some((level, out_bits)),
-            Some((ref_level, ref_bits)) => assert_eq!(
-                &out_bits, ref_bits,
-                "warm streaming diverged between {ref_level:?} and {level:?}"
-            ),
-        }
-    }
-    assert!(reference.is_some(), "at least the scalar level must run");
 }
 
 /// Warm-vs-cold quality regression: resuming the previous chunk's

@@ -192,16 +192,10 @@ fn gait_mae_improves_by_margin_with_hpss_front() {
 }
 
 /// Scenario determinism: the same seed yields bit-identical artifact
-/// waveforms across repeated renders and under the forced-scalar SIMD
-/// fallback, and distinct seeds actually vary the draw.
+/// waveforms across repeated renders, and distinct seeds actually vary
+/// the draw.
 #[test]
-fn artifact_waveforms_are_seed_deterministic_across_dispatch() {
-    struct AutoDispatch;
-    impl Drop for AutoDispatch {
-        fn drop(&mut self) {
-            dhf::dsp::simd::force_scalar(false);
-        }
-    }
+fn artifact_waveforms_are_seed_deterministic() {
     let (fs, n) = (100.0, 9000);
     for cfg in [
         ArtifactConfig::spikes(ARTIFACT_SEED),
@@ -211,12 +205,6 @@ fn artifact_waveforms_are_seed_deterministic_across_dispatch() {
         let a = artifact::waveform(&cfg, n, fs);
         let b = artifact::waveform(&cfg, n, fs);
         assert_eq!(a, b, "{}: repeated render must be bit-identical", cfg.family_name());
-
-        let _auto = AutoDispatch;
-        dhf::dsp::simd::force_scalar(true);
-        let c = artifact::waveform(&cfg, n, fs);
-        drop(_auto);
-        assert_eq!(a, c, "{}: forced-scalar render must be bit-identical", cfg.family_name());
 
         let mut other = cfg.clone();
         other.seed ^= 0x5EED;

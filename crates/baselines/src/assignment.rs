@@ -6,7 +6,7 @@
 //! comb captures the most of the component's spectral energy — the same
 //! frequency prior every method in the study receives.
 
-use dhf_dsp::fft::{fft_real, rfft_frequencies};
+use dhf_dsp::fft::{power_spectrum, rfft_frequencies};
 
 /// Fraction of `component`'s spectral energy lying within `bw_hz` of any
 /// of the first `harmonics` multiples of `f0`.
@@ -14,12 +14,11 @@ pub fn harmonic_affinity(component: &[f64], fs: f64, f0: f64, harmonics: usize, 
     if component.is_empty() || f0 <= 0.0 {
         return 0.0;
     }
-    let spec = fft_real(component);
+    let power = power_spectrum(component);
     let freqs = rfft_frequencies(component.len(), fs);
     let mut total = 0.0;
     let mut inband = 0.0;
-    for (k, c) in spec.iter().enumerate() {
-        let p = c.norm_sqr();
+    for (k, &p) in power.iter().enumerate() {
         total += p;
         let f = freqs[k.min(freqs.len() - 1)];
         let near = (1..=harmonics).any(|h| (f - h as f64 * f0).abs() <= bw_hz);
@@ -39,13 +38,12 @@ pub fn dominant_frequency(component: &[f64], fs: f64) -> f64 {
     if component.len() < 4 {
         return 0.0;
     }
-    let spec = fft_real(component);
+    let power = power_spectrum(component);
     let freqs = rfft_frequencies(component.len(), fs);
     let mut best = 0usize;
     let mut best_p = 0.0;
     // Skip DC.
-    for (k, c) in spec.iter().enumerate().skip(1) {
-        let p = c.norm_sqr();
+    for (k, &p) in power.iter().enumerate().skip(1) {
         if p > best_p {
             best_p = p;
             best = k;

@@ -169,7 +169,7 @@ impl PatternAligner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhf_dsp::fft::fft_real;
+    use dhf_dsp::fft::power_spectrum;
 
     /// A chirp whose instantaneous frequency follows `f0(t)`; unwarping
     /// against its own track must produce a pure 1 Hz periodicity.
@@ -197,8 +197,7 @@ mod tests {
         let un = aligner.unwarp(&signal).unwrap();
         // Unwarped spectrum must peak at 1 Hz ( = bin m/len where
         // frequency resolution is fs'/len ).
-        let spec = fft_real(&un.samples);
-        let mags: Vec<f64> = spec.iter().map(|c| c.abs()).collect();
+        let mags: Vec<f64> = power_spectrum(&un.samples).iter().map(|p| p.sqrt()).collect();
         let peak =
             mags.iter().enumerate().skip(1).max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         let peak_hz = peak as f64 * 16.0 / un.len() as f64;

@@ -7,7 +7,6 @@ use crate::phase::reconstruct_hidden_cells;
 use crate::DhfError;
 use dhf_dsp::stft::{Spectrogram, StftConfig, StftEngine};
 use dhf_dsp::tracks::check_tracks;
-use dhf_dsp::Complex;
 use dhf_nn::{ConvKind, NetConfig, TrainReport};
 
 /// Configuration of the full DHF pipeline.
@@ -182,8 +181,10 @@ pub struct RoundContext {
     residual: Vec<f64>,
     /// Reused per-round in-painting config (seed/dilation overwritten).
     icfg: InpaintConfig,
-    /// Reused half-spectrum scratch for the peel-order band energies.
-    band_half: Vec<Complex>,
+    /// Reused half-spectrum planes (real, imaginary) for the peel-order
+    /// band energies.
+    band_re: Vec<f64>,
+    band_im: Vec<f64>,
     /// Whether [`RoundReport`]s carry their heavy diagnostic payloads
     /// (hidden-cell flags, residual magnitude image).
     collect_reports: bool,
@@ -220,7 +221,8 @@ impl RoundContext {
             y_un: Vec::new(),
             residual: Vec::new(),
             icfg: cfg.inpaint.clone(),
-            band_half: Vec::new(),
+            band_re: Vec::new(),
+            band_im: Vec::new(),
             collect_reports: true,
             warm_slots: Vec::new(),
             warm_hits: 0,
@@ -336,7 +338,7 @@ impl RoundContext {
     /// signal's spectral energy in each source's fundamental band (the
     /// paper separates the dominant maternal signal before the weak fetal
     /// one). Band energies are scored through the context's reused
-    /// half-spectrum scratch (the transforms themselves go to the shared
+    /// half-spectrum planes (the transforms themselves go to the shared
     /// thread-local planner — see [`RoundContext::band_energy`]).
     fn peel_order(&mut self, mixed: &[f64], fs: f64, f0_tracks: &[&[f64]]) -> Vec<usize> {
         // One full-signal spectrum serves every track's score: the
@@ -344,7 +346,12 @@ impl RoundContext {
         // does, so hoisting it replaces `n` identical (expensive,
         // Bluestein-sized) real FFTs with one.
         let n = f0_tracks.len();
-        dhf_dsp::fft::with_thread_planner(|p| p.rfft_into(mixed, &mut self.band_half));
+        let bins = if mixed.is_empty() { 0 } else { mixed.len() / 2 + 1 };
+        self.band_re.resize(bins, 0.0);
+        self.band_im.resize(bins, 0.0);
+        dhf_dsp::fft::with_thread_planner(|p| {
+            p.rfft_split_into(mixed, &mut self.band_re, &mut self.band_im)
+        });
         let mut scored: Vec<(f64, usize)> = (0..n)
             .map(|i| {
                 let t = f0_tracks[i];
@@ -358,18 +365,19 @@ impl RoundContext {
     }
 
     /// Spectral energy inside `[lo, hi]` Hz of the half spectrum cached in
-    /// `band_half` by the caller ([`RoundContext::peel_order`] transforms
-    /// the signal once on the thread-local planner — the transform size
-    /// differs from every STFT frame size, and sharing the planner per
-    /// worker thread keeps its large Bluestein plan warm across
-    /// short-lived contexts too). `n` is the original signal length.
+    /// the `band_re`/`band_im` planes by the caller
+    /// ([`RoundContext::peel_order`] transforms the signal once on the
+    /// thread-local planner — the transform size differs from every STFT
+    /// frame size, and sharing the planner per worker thread keeps its
+    /// large Bluestein plan warm across short-lived contexts too). `n` is
+    /// the original signal length.
     ///
     /// Bin frequency `k·fs/n` is monotone in `k`, so the included bins are
     /// one contiguous run, summed with the fixed-order reduction kernel
     /// (`Σ re² + im²`).
     fn band_energy(&self, n: usize, fs: f64, lo: f64, hi: f64) -> f64 {
         let f_of = |k: usize| k as f64 * fs / n as f64;
-        let bins = self.band_half.len();
+        let bins = self.band_re.len();
         let Some(k0) = (0..bins).find(|&k| f_of(k) >= lo) else {
             return 0.0;
         };
@@ -377,7 +385,7 @@ impl RoundContext {
             return 0.0;
         }
         let k1 = (k0..bins).take_while(|&k| f_of(k) <= hi).last().unwrap_or(k0);
-        dhf_dsp::simd::sum_sq(&self.band_half[k0..=k1])
+        dhf_dsp::simd::sum_sq(&self.band_re[k0..=k1], &self.band_im[k0..=k1])
     }
 
     /// One DHF round targeting source `si` of the given residual

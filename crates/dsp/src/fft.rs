@@ -7,23 +7,24 @@
 //! * Bluestein's chirp-z algorithm for arbitrary lengths, which reduces an
 //!   N-point DFT to a circular convolution carried out with the radix-2
 //!   engine, and
-//! * a *packed real* transform ([`FftPlanner::rfft_into`] /
-//!   [`FftPlanner::irfft_into`]): an even-length real N-point DFT computed
-//!   via one N/2-point complex transform by packing even samples into the
-//!   real lane and odd samples into the imaginary lane, then unscrambling
-//!   with a cached split-twiddle table. Real transforms of odd length fall
-//!   back to the full complex engine (Bluestein).
+//! * a *packed real* transform ([`FftPlanner::rfft_split_into`] /
+//!   [`FftPlanner::irfft_split_into`]): an even-length real N-point DFT
+//!   computed via one N/2-point complex transform by packing even samples
+//!   into the real lane and odd samples into the imaginary lane, then
+//!   unscrambling with a cached split-twiddle table into separate
+//!   real/imaginary planes (the SoA spectrogram layout). Real transforms
+//!   of odd length fall back to the full complex engine (Bluestein).
 //!
 //! All per-size state (bit-reversal permutations, stage twiddle tables,
 //! Bluestein chirps and pre-transformed convolution kernels, real-split
 //! twiddles) lives in an [`FftPlanner`]: the first transform of a given
 //! size builds a plan, every later transform of that size reuses it, so
 //! repeated same-size transforms — the STFT hot path — do no twiddle
-//! recomputation. The free functions ([`fft`], [`ifft`], [`fft_real`], …)
-//! delegate to a thread-local planner and therefore share plans within a
-//! thread; performance-critical callers running many frames (streaming
-//! separation, benches) should hold their own [`FftPlanner`] and use the
-//! `*_into` scratch-buffer entry points.
+//! recomputation. The free functions ([`fft`], [`ifft`],
+//! [`power_spectrum`], …) delegate to a thread-local planner and therefore
+//! share plans within a thread; performance-critical callers running many
+//! frames (streaming separation, benches) should hold their own
+//! [`FftPlanner`] and use the `*_into` scratch-buffer entry points.
 //!
 //! The convention is the unnormalized forward DFT
 //! `X[k] = Σ_n x[n]·e^{-2πi·kn/N}`; [`ifft`] divides by `N`, so
@@ -33,25 +34,6 @@ use crate::complex::Complex;
 use crate::simd;
 use std::cell::RefCell;
 use std::collections::HashMap;
-
-/// Returns `true` if `n` is a power of two (and non-zero).
-#[inline]
-pub fn is_power_of_two(n: usize) -> bool {
-    n != 0 && (n & (n - 1)) == 0
-}
-
-/// Next power of two greater than or equal to `n`.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(dhf_dsp::fft::next_power_of_two(600), 1024);
-/// assert_eq!(dhf_dsp::fft::next_power_of_two(1024), 1024);
-/// ```
-#[inline]
-pub fn next_power_of_two(n: usize) -> usize {
-    n.next_power_of_two()
-}
 
 /// Cached state for one power-of-two transform size.
 #[derive(Debug, Clone)]
@@ -68,7 +50,7 @@ struct Radix2Plan {
 
 impl Radix2Plan {
     fn new(n: usize) -> Self {
-        debug_assert!(is_power_of_two(n));
+        debug_assert!(n.is_power_of_two());
         let mut bitrev = vec![0u32; n];
         let mut j = 0usize;
         for slot in bitrev.iter_mut().skip(1) {
@@ -200,18 +182,17 @@ impl RealPlan {
 ///
 /// ```
 /// use dhf_dsp::fft::FftPlanner;
-/// use dhf_dsp::Complex;
 ///
 /// let mut planner = FftPlanner::new();
-/// let mut half = Vec::new();
+/// let (mut re, mut im) = (vec![0.0; 257], vec![0.0; 257]);
 /// for _ in 0..100 {
 ///     let frame = vec![1.0f64; 512];
-///     planner.rfft_into(&frame, &mut half);
+///     planner.rfft_split_into(&frame, &mut re, &mut im);
 /// }
 /// // 100 same-size real transforms built exactly two plans: the 256-point
 /// // complex half-size plan plus the 512-point real-split table.
 /// assert_eq!(planner.plans_built(), 2);
-/// assert!((half[0].re - 512.0).abs() < 1e-9);
+/// assert!((re[0] - 512.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Default)]
 pub struct FftPlanner {
@@ -249,7 +230,7 @@ impl FftPlanner {
     }
 
     fn ensure_bluestein(&mut self, n: usize) {
-        let m = next_power_of_two(2 * n - 1);
+        let m = (2 * n - 1).next_power_of_two();
         self.ensure_radix2(m);
         let plans_built = &mut self.plans_built;
         let radix2 = &self.radix2;
@@ -265,7 +246,7 @@ impl FftPlanner {
         if n <= 1 {
             return;
         }
-        if is_power_of_two(n) {
+        if n.is_power_of_two() {
             self.ensure_radix2(n);
             self.radix2[&n].execute(buf, inverse);
             return;
@@ -318,58 +299,15 @@ impl FftPlanner {
         });
     }
 
-    /// Packs `input` (even length `n`) into an `n/2`-point complex signal
-    /// and transforms it, leaving `Z` in the returned scratch buffer.
-    fn rfft_pack_transform(&mut self, input: &[f64]) -> Vec<Complex> {
-        let m = input.len() / 2;
-        self.ensure_real(input.len());
-        let mut buf = std::mem::take(&mut self.real_scratch);
-        buf.clear();
-        buf.extend(input.chunks_exact(2).map(|p| Complex::new(p[0], p[1])));
-        debug_assert_eq!(buf.len(), m);
-        self.transform(&mut buf, false);
-        buf
-    }
-
-    /// Forward DFT of a real signal into `out` (cleared and refilled with
-    /// the non-redundant half spectrum: `n/2 + 1` bins for even `n`,
-    /// `(n+1)/2` for odd `n`).
+    /// Forward DFT of a real signal, scattering the non-redundant half
+    /// spectrum (`n/2 + 1` bins for even `n`, `(n+1)/2` for odd `n`) into
+    /// separate real/imaginary planes (the SoA spectrogram layout).
     ///
     /// Even lengths run the packed path — one `n/2`-point complex
     /// transform plus an O(n) split — so a real transform costs roughly
     /// half a complex one. Odd lengths fall back to the full complex
     /// engine (Bluestein). Reuses internal scratch, so repeated calls of
     /// one size allocate nothing after the first.
-    pub fn rfft_into(&mut self, input: &[f64], out: &mut Vec<Complex>) {
-        let n = input.len();
-        out.clear();
-        if n == 0 {
-            return;
-        }
-        if n == 1 {
-            out.push(Complex::from_real(input[0]));
-            return;
-        }
-        if n % 2 != 0 {
-            // Odd length: full complex transform, emit the half spectrum.
-            let mut buf = std::mem::take(&mut self.real_scratch);
-            buf.clear();
-            buf.extend(input.iter().map(|&x| Complex::from_real(x)));
-            self.transform(&mut buf, false);
-            out.extend_from_slice(&buf[..n / 2 + 1]);
-            self.real_scratch = buf;
-            return;
-        }
-        let z = self.rfft_pack_transform(input);
-        let tw = &self.real[&n].twiddle;
-        out.resize(n / 2 + 1, Complex::ZERO);
-        simd::real_split_combine_aos(&z, tw, out);
-        self.real_scratch = z;
-    }
-
-    /// Like [`FftPlanner::rfft_into`], but scatters the half spectrum into
-    /// separate real/imaginary planes (the SoA spectrogram layout) instead
-    /// of an array-of-structs buffer.
     ///
     /// # Panics
     ///
@@ -388,29 +326,29 @@ impl FftPlanner {
             im[0] = 0.0;
             return;
         }
+        let mut buf = std::mem::take(&mut self.real_scratch);
+        buf.clear();
         if n % 2 != 0 {
-            let mut buf = std::mem::take(&mut self.real_scratch);
-            buf.clear();
+            // Odd length: full complex transform, keep the half spectrum.
             buf.extend(input.iter().map(|&x| Complex::from_real(x)));
             self.transform(&mut buf, false);
-            for (k, (r, i)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                *r = buf[k].re;
-                *i = buf[k].im;
+            for ((r, i), c) in re.iter_mut().zip(im.iter_mut()).zip(&buf) {
+                *r = c.re;
+                *i = c.im;
             }
-            self.real_scratch = buf;
-            return;
+        } else {
+            self.ensure_real(n);
+            buf.extend(input.chunks_exact(2).map(|p| Complex::new(p[0], p[1])));
+            self.transform(&mut buf, false);
+            simd::real_split_combine_soa(&buf, &self.real[&n].twiddle, re, im);
         }
-        let z = self.rfft_pack_transform(input);
-        let tw = &self.real[&n].twiddle;
-        simd::real_split_combine_soa(&z, tw, re, im);
-        self.real_scratch = z;
+        self.real_scratch = buf;
     }
 
-    /// Rebuilds the packed `n/2`-point spectrum `Z[k]` from a half
-    /// spectrum reader, transforms it back, and unpacks the interleaved
-    /// even/odd real samples into `out`. `half(k)` must return `X[k]` for
-    /// `k = 0..=n/2`.
-    fn irfft_unpack(&mut self, half: impl Fn(usize) -> Complex, n: usize, out: &mut Vec<f64>) {
+    /// Rebuilds the packed `n/2`-point spectrum `Z[k]` from the half
+    /// spectrum `X[k] = re[k] + i·im[k]`, `k = 0..=n/2`, transforms it
+    /// back, and unpacks the interleaved even/odd real samples into `out`.
+    fn irfft_unpack(&mut self, re: &[f64], im: &[f64], n: usize, out: &mut Vec<f64>) {
         let m = n / 2;
         self.ensure_real(n);
         let mut buf = std::mem::take(&mut self.real_scratch);
@@ -419,8 +357,8 @@ impl FftPlanner {
         {
             let tw = &self.real[&n].twiddle;
             for (k, slot) in buf.iter_mut().enumerate() {
-                let xa = half(k);
-                let xb = half(m - k).conj();
+                let xa = Complex::new(re[k], im[k]);
+                let xb = Complex::new(re[m - k], im[m - k]).conj();
                 let ze = (xa + xb).scale(0.5);
                 let d = (xa - xb).scale(0.5);
                 let zo = d * tw[k].conj();
@@ -440,13 +378,13 @@ impl FftPlanner {
 
     /// Odd-length inverse real transform: Hermitian mirror + full complex
     /// inverse (Bluestein fallback of the packed path).
-    fn irfft_odd(&mut self, half: impl Fn(usize) -> Complex, n: usize, out: &mut Vec<f64>) {
+    fn irfft_odd(&mut self, re: &[f64], im: &[f64], n: usize, out: &mut Vec<f64>) {
         let bins = n / 2 + 1;
         let mut buf = std::mem::take(&mut self.real_scratch);
         buf.clear();
         buf.resize(n, Complex::ZERO);
-        for (k, slot) in buf.iter_mut().take(bins).enumerate() {
-            *slot = half(k);
+        for ((slot, &r), &i) in buf.iter_mut().zip(re).zip(im) {
+            *slot = Complex::new(r, i);
         }
         for k in bins..n {
             buf[k] = buf[n - k].conj();
@@ -457,39 +395,16 @@ impl FftPlanner {
         self.real_scratch = buf;
     }
 
-    /// Inverse of [`FftPlanner::rfft_into`]: reconstructs a length-`n`
-    /// real signal from its half spectrum into `out` (cleared first), via
-    /// one `n/2`-point inverse complex transform for even `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half.len()` is inconsistent with `n` (must equal
-    /// `n/2 + 1` for even `n` or `(n+1)/2` for odd `n`).
-    pub fn irfft_into(&mut self, half: &[Complex], n: usize, out: &mut Vec<f64>) {
-        out.clear();
-        if n == 0 {
-            return;
-        }
-        let expected = (n / 2 + 1).min(n);
-        assert_eq!(half.len(), expected, "half spectrum length inconsistent with signal length");
-        if n == 1 {
-            out.push(half[0].re);
-            return;
-        }
-        if n % 2 != 0 {
-            self.irfft_odd(|k| half[k], n, out);
-            return;
-        }
-        self.irfft_unpack(|k| half[k], n, out);
-    }
-
-    /// Like [`FftPlanner::irfft_into`], but gathers the half spectrum from
-    /// separate real/imaginary planes (the SoA spectrogram layout).
+    /// Inverse of [`FftPlanner::rfft_split_into`]: reconstructs a
+    /// length-`n` real signal from the half spectrum held in the `re`/`im`
+    /// planes into `out` (cleared first), via one `n/2`-point inverse
+    /// complex transform for even `n`.
     ///
     /// # Panics
     ///
     /// Panics if `re.len() != im.len()` or their length is inconsistent
-    /// with `n`.
+    /// with `n` (must equal `n/2 + 1` for even `n` or `(n+1)/2` for odd
+    /// `n`).
     pub fn irfft_split_into(&mut self, re: &[f64], im: &[f64], n: usize, out: &mut Vec<f64>) {
         assert_eq!(re.len(), im.len(), "re/im plane length mismatch");
         out.clear();
@@ -500,13 +415,11 @@ impl FftPlanner {
         assert_eq!(re.len(), expected, "half spectrum length inconsistent with signal length");
         if n == 1 {
             out.push(re[0]);
-            return;
+        } else if n % 2 != 0 {
+            self.irfft_odd(re, im, n, out);
+        } else {
+            self.irfft_unpack(re, im, n, out);
         }
-        if n % 2 != 0 {
-            self.irfft_odd(|k| Complex::new(re[k], im[k]), n, out);
-            return;
-        }
-        self.irfft_unpack(|k| Complex::new(re[k], im[k]), n, out);
     }
 }
 
@@ -520,7 +433,7 @@ const _: () = {
 
 thread_local! {
     /// Shared planner behind the free-function API: all `fft`/`ifft`/
-    /// `fft_real`/`ifft_real` calls on one thread reuse its plan cache.
+    /// `power_spectrum` calls on one thread reuse its plan cache.
     static THREAD_PLANNER: RefCell<FftPlanner> = RefCell::new(FftPlanner::new());
 }
 
@@ -552,11 +465,6 @@ pub fn fft(input: &[Complex]) -> Vec<Complex> {
     buf
 }
 
-/// Forward DFT, transforming the buffer in place (arbitrary length).
-pub fn fft_inplace(buf: &mut [Complex]) {
-    with_thread_planner(|p| p.fft_inplace(buf));
-}
-
 /// Inverse DFT with 1/N normalization so that `ifft(fft(x)) == x`.
 ///
 /// # Example
@@ -575,36 +483,27 @@ pub fn ifft(input: &[Complex]) -> Vec<Complex> {
     buf
 }
 
-/// Forward DFT of a real signal, returning only the non-redundant half
+/// Power spectrum `|X[k]|²` of a real signal over the non-redundant half
 /// (`N/2 + 1` bins for even `N`, `(N+1)/2` for odd `N`), via the packed
-/// real path ([`FftPlanner::rfft_into`]).
+/// real path ([`FftPlanner::rfft_split_into`]) on the thread-local planner.
 ///
 /// # Example
 ///
 /// ```
-/// use dhf_dsp::fft::fft_real;
+/// use dhf_dsp::fft::power_spectrum;
 /// let x = vec![1.0, 0.0, -1.0, 0.0]; // cos at Nyquist/2
-/// let spec = fft_real(&x);
-/// assert_eq!(spec.len(), 3);
-/// assert!((spec[1].re - 2.0).abs() < 1e-12);
+/// let p = power_spectrum(&x);
+/// assert_eq!(p.len(), 3);
+/// assert!((p[1] - 4.0).abs() < 1e-12);
 /// ```
-pub fn fft_real(input: &[f64]) -> Vec<Complex> {
-    let mut out = Vec::new();
-    with_thread_planner(|p| p.rfft_into(input, &mut out));
-    out
-}
-
-/// Inverse of [`fft_real`]: reconstructs a length-`n` real signal from its
-/// half spectrum via the packed real path ([`FftPlanner::irfft_into`]).
-///
-/// # Panics
-///
-/// Panics if `half.len()` is inconsistent with `n` (must equal `n/2 + 1`
-/// for even `n` or `(n+1)/2` for odd `n`).
-pub fn ifft_real(half: &[Complex], n: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    with_thread_planner(|p| p.irfft_into(half, n, &mut out));
-    out
+pub fn power_spectrum(input: &[f64]) -> Vec<f64> {
+    let bins = if input.is_empty() { 0 } else { input.len() / 2 + 1 };
+    let (mut re, mut im) = (vec![0.0; bins], vec![0.0; bins]);
+    with_thread_planner(|p| p.rfft_split_into(input, &mut re, &mut im));
+    for (r, &i) in re.iter_mut().zip(&im) {
+        *r = *r * *r + i * i;
+    }
+    re
 }
 
 /// Frequency (Hz) of each bin of an `n`-point DFT at sample rate `fs`,
@@ -622,7 +521,7 @@ pub fn autocorrelation(x: &[f64]) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
     }
-    let m = next_power_of_two(2 * n);
+    let m = (2 * n).next_power_of_two();
     let mut buf = vec![Complex::ZERO; m];
     for (i, &v) in x.iter().enumerate() {
         buf[i] = Complex::from_real(v);
@@ -661,6 +560,14 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert!((*x - *y).abs() < tol, "{x} vs {y}");
         }
+    }
+
+    /// Half spectrum of `x` through the split-plane transform.
+    fn rfft_planes(planner: &mut FftPlanner, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let bins = if x.is_empty() { 0 } else { x.len() / 2 + 1 };
+        let (mut re, mut im) = (vec![0.0; bins], vec![0.0; bins]);
+        planner.rfft_split_into(x, &mut re, &mut im);
+        (re, im)
     }
 
     fn test_signal(n: usize) -> Vec<Complex> {
@@ -715,8 +622,7 @@ mod tests {
         let f = 17.0;
         let x: Vec<f64> =
             (0..n).map(|i| (2.0 * std::f64::consts::PI * f * i as f64 / n as f64).sin()).collect();
-        let spec = fft_real(&x);
-        let mags: Vec<f64> = spec.iter().map(|c| c.abs()).collect();
+        let mags: Vec<f64> = power_spectrum(&x).iter().map(|p| p.sqrt()).collect();
         let peak = mags.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         assert_eq!(peak, 17);
         // everything else is numerically zero
@@ -729,9 +635,13 @@ mod tests {
 
     #[test]
     fn real_round_trip_even_and_odd() {
+        let mut planner = FftPlanner::new();
         for &n in &[8usize, 9, 100, 101] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.73).sin() + 0.1).collect();
-            let y = ifft_real(&fft_real(&x), n);
+            let (re, im) = rfft_planes(&mut planner, &x);
+            let mut y = Vec::new();
+            planner.irfft_split_into(&re, &im, n, &mut y);
+            assert_eq!(y.len(), n);
             for (a, b) in x.iter().zip(&y) {
                 assert!((a - b).abs() < 1e-9);
             }
@@ -773,15 +683,14 @@ mod tests {
     fn planner_reuses_one_plan_set_for_repeated_size() {
         let mut planner = FftPlanner::new();
         let x: Vec<f64> = (0..512).map(|i| (i as f64 * 0.17).sin()).collect();
-        let mut half = Vec::new();
+        let (mut re, mut im) = (vec![0.0; 257], vec![0.0; 257]);
         for _ in 0..64 {
-            planner.rfft_into(&x, &mut half);
+            planner.rfft_split_into(&x, &mut re, &mut im);
         }
         // One real-split table (512) + one half-size radix-2 plan (256).
         assert_eq!(planner.plans_built(), 2, "same-size transforms must share one plan set");
         // A second size adds one more split table + one more radix-2 plan.
-        let y = vec![0.5f64; 1024];
-        planner.rfft_into(&y, &mut half);
+        rfft_planes(&mut planner, &[0.5f64; 1024]);
         assert_eq!(planner.plans_built(), 4);
     }
 
@@ -802,22 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn planner_real_round_trip_matches_free_functions() {
-        let mut planner = FftPlanner::new();
-        for &n in &[16usize, 37, 100, 101] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos() - 0.2).collect();
-            let mut half = Vec::new();
-            planner.rfft_into(&x, &mut half);
-            assert_spec_close(&half, &fft_real(&x), 1e-9 * n as f64);
-            let mut back = Vec::new();
-            planner.irfft_into(&half, n, &mut back);
-            for (a, b) in x.iter().zip(&back) {
-                assert!((a - b).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn packed_rfft_matches_full_complex_transform() {
         // Pow2, even non-pow2, odd, and prime lengths: the packed path
         // must agree with promoting to a full complex DFT to ≤1e-9.
@@ -829,55 +722,29 @@ mod tests {
                 planner.fft_inplace(&mut buf);
                 buf[..n / 2 + 1].to_vec()
             };
-            let mut half = Vec::new();
-            planner.rfft_into(&x, &mut half);
+            let (re, im) = rfft_planes(&mut planner, &x);
+            let half: Vec<Complex> =
+                re.iter().zip(&im).map(|(&r, &i)| Complex::new(r, i)).collect();
             assert_spec_close(&half, &full, 1e-9);
-        }
-    }
-
-    #[test]
-    fn split_plane_variants_match_aos_variants() {
-        let mut planner = FftPlanner::new();
-        for &n in &[8usize, 60, 101, 256] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.47).cos() - 0.1).collect();
-            let bins = n / 2 + 1;
-            let mut half = Vec::new();
-            planner.rfft_into(&x, &mut half);
-            let mut re = vec![0.0; bins];
-            let mut im = vec![0.0; bins];
-            planner.rfft_split_into(&x, &mut re, &mut im);
-            for k in 0..bins {
-                assert_eq!(half[k].re, re[k], "re bin {k} of n {n}");
-                assert_eq!(half[k].im, im[k], "im bin {k} of n {n}");
-            }
-            let mut back_aos = Vec::new();
-            planner.irfft_into(&half, n, &mut back_aos);
-            let mut back_soa = Vec::new();
-            planner.irfft_split_into(&re, &im, n, &mut back_soa);
-            assert_eq!(back_aos, back_soa);
-            for (a, b) in x.iter().zip(&back_aos) {
-                assert!((a - b).abs() < 1e-9);
-            }
         }
     }
 
     #[test]
     fn packed_rfft_tiny_lengths() {
         let mut planner = FftPlanner::new();
-        let mut half = Vec::new();
-        planner.rfft_into(&[], &mut half);
-        assert!(half.is_empty());
-        planner.rfft_into(&[3.5], &mut half);
-        assert_eq!(half.len(), 1);
-        assert_eq!(half[0], Complex::from_real(3.5));
-        let mut back = Vec::new();
-        planner.irfft_into(&half, 1, &mut back);
+        let mut back = vec![1.0];
+        let (re, im) = rfft_planes(&mut planner, &[]);
+        assert!(re.is_empty() && im.is_empty());
+        planner.irfft_split_into(&re, &im, 0, &mut back);
+        assert!(back.is_empty());
+        let (re, im) = rfft_planes(&mut planner, &[3.5]);
+        assert_eq!((re.as_slice(), im.as_slice()), (&[3.5][..], &[0.0][..]));
+        planner.irfft_split_into(&re, &im, 1, &mut back);
         assert_eq!(back, vec![3.5]);
-        planner.rfft_into(&[1.0, -2.0], &mut half);
-        assert_eq!(half.len(), 2);
-        assert!((half[0].re - -1.0).abs() < 1e-12 && half[0].im.abs() < 1e-12);
-        assert!((half[1].re - 3.0).abs() < 1e-12 && half[1].im.abs() < 1e-12);
-        planner.irfft_into(&half, 2, &mut back);
+        let (re, im) = rfft_planes(&mut planner, &[1.0, -2.0]);
+        assert!((re[0] - -1.0).abs() < 1e-12 && im[0].abs() < 1e-12);
+        assert!((re[1] - 3.0).abs() < 1e-12 && im[1].abs() < 1e-12);
+        planner.irfft_split_into(&re, &im, 2, &mut back);
         assert!((back[0] - 1.0).abs() < 1e-12 && (back[1] - -2.0).abs() < 1e-12);
     }
 

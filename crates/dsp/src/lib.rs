@@ -25,17 +25,15 @@
 //! # Example
 //!
 //! ```
-//! use dhf_dsp::fft::fft_real;
+//! use dhf_dsp::fft::power_spectrum;
 //!
 //! // A pure 5 Hz cosine sampled at 64 Hz concentrates at bin 5.
 //! let fs = 64.0;
 //! let x: Vec<f64> = (0..64)
 //!     .map(|n| (2.0 * std::f64::consts::PI * 5.0 * n as f64 / fs).cos())
 //!     .collect();
-//! let spec = fft_real(&x);
-//! let peak = (0..33).max_by(|&a, &b| {
-//!     spec[a].abs().partial_cmp(&spec[b].abs()).unwrap()
-//! }).unwrap();
+//! let power = power_spectrum(&x);
+//! let peak = (0..33).max_by(|&a, &b| power[a].partial_cmp(&power[b]).unwrap()).unwrap();
 //! assert_eq!(peak, 5);
 //! ```
 

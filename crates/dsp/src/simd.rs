@@ -104,23 +104,28 @@ pub fn magnitude_into(out: &mut [f64], re: &[f64], im: &[f64]) {
     }
 }
 
-/// `Σ |a[i]|²`, the energy of a complex band, in a fixed order: complex
-/// `2c` adds `re²` to `acc0` and `im²` to `acc1`, complex `2c + 1` adds
-/// `re²` to `acc2` and `im²` to `acc3`, and an odd last complex gives the
-/// tail `re² + im²`. The result is
+/// `Σ re[i]² + im[i]²`, the energy of a band of spectral bins held in
+/// `re`/`im` planes, in a fixed order: bin `2c` adds `re²` to `acc0` and
+/// `im²` to `acc1`, bin `2c + 1` adds `re²` to `acc2` and `im²` to
+/// `acc3`, and an odd last bin gives the tail `re² + im²`. The result is
 /// `((acc0 + acc1) + (acc2 + acc3)) + tail`.
-pub fn sum_sq(a: &[Complex]) -> f64 {
-    let pairs = a.chunks_exact(2);
-    let tail = match pairs.remainder() {
-        [c] => c.re * c.re + c.im * c.im,
+///
+/// # Panics
+///
+/// Panics if the planes differ in length.
+pub fn sum_sq(re: &[f64], im: &[f64]) -> f64 {
+    assert_eq!(re.len(), im.len(), "sum_sq length mismatch");
+    let (re_pairs, im_pairs) = (re.chunks_exact(2), im.chunks_exact(2));
+    let tail = match (re_pairs.remainder(), im_pairs.remainder()) {
+        ([r], [i]) => r * r + i * i,
         _ => 0.0,
     };
     let mut acc = [0.0f64; 4];
-    for p in pairs {
-        acc[0] += p[0].re * p[0].re;
-        acc[1] += p[0].im * p[0].im;
-        acc[2] += p[1].re * p[1].re;
-        acc[3] += p[1].im * p[1].im;
+    for (r, i) in re_pairs.zip(im_pairs) {
+        acc[0] += r[0] * r[0];
+        acc[1] += i[0] * i[0];
+        acc[2] += r[1] * r[1];
+        acc[3] += i[1] * i[1];
     }
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
 }
@@ -242,35 +247,14 @@ pub fn real_split_combine_soa(z: &[Complex], tw: &[Complex], re: &mut [f64], im:
     }
 }
 
-/// As [`real_split_combine_soa`], but writing an array-of-structs half
-/// spectrum.
-///
-/// # Panics
-///
-/// Panics if `z` is empty, `tw.len() != z.len() + 1` or
-/// `out.len() != z.len() + 1`.
-pub fn real_split_combine_aos(z: &[Complex], tw: &[Complex], out: &mut [Complex]) {
-    let m = z.len();
-    assert_eq!(tw.len(), m + 1, "split twiddle table length mismatch");
-    assert_eq!(out.len(), m + 1, "half spectrum length mismatch");
-    // Edge and interior bins as in `real_split_combine_soa`.
-    for k in [0, m] {
-        out[k] = split_bin(z[0], z[0].conj(), tw[k]);
-    }
-    let interior = out[1..m].iter_mut().zip(&z[1..]).zip(z[1..].iter().rev()).zip(&tw[1..m]);
-    for (((o, &a), &b), &t) in interior {
-        *o = split_bin(a, b.conj(), t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// `sum_sq` against its order written out over the interleaved
-    /// `[re, im, …]` lanes: lane `4c + j` goes to accumulator `j`, the
-    /// leftover lanes to a sequential tail. Every lane residue appears
-    /// among 0–9 complexes.
+    /// `[re₀, im₀, re₁, im₁, …]` lanes: lane `4c + j` goes to accumulator
+    /// `j`, the leftover lanes to a sequential tail. Every lane residue
+    /// appears among 0–9 bins.
     #[test]
     fn sum_sq_keeps_its_four_accumulator_order() {
         let mut s = 0x9E37_79B9_7F4A_7C15u64;
@@ -281,8 +265,9 @@ mod tests {
             ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 4.0
         };
         for n in 0..=9 {
-            let a: Vec<Complex> = (0..n).map(|_| Complex::new(next(), next())).collect();
-            let lanes: Vec<f64> = a.iter().flat_map(|c| [c.re, c.im]).collect();
+            let lanes: Vec<f64> = (0..2 * n).map(|_| next()).collect();
+            let re: Vec<f64> = lanes.iter().step_by(2).copied().collect();
+            let im: Vec<f64> = lanes.iter().skip(1).step_by(2).copied().collect();
             let main = lanes.len() & !3;
             let mut acc = [0.0f64; 4];
             for chunk in lanes[..main].chunks_exact(4) {
@@ -295,7 +280,7 @@ mod tests {
                 tail += v * v;
             }
             let want = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail;
-            assert_eq!(sum_sq(&a).to_bits(), want.to_bits(), "{n} complexes");
+            assert_eq!(sum_sq(&re, &im).to_bits(), want.to_bits(), "{n} bins");
         }
     }
 }

@@ -13,7 +13,8 @@ use crate::ServeError;
 /// A push that would overflow a session's bounded ingestion queue is
 /// rejected with [`ServeError::Busy`] and the caller retries later;
 /// nothing already queued is touched, so a session's output depends only
-/// on the samples it accepted.
+/// on the samples it accepted. A packet longer than the capacity is
+/// rejected with [`ServeError::PacketTooLarge`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     workers: usize,

@@ -27,7 +27,9 @@
 //!   session, while clients keep enqueuing concurrently.
 //! * **Backpressure** — per-session bounded ingestion queues reject an
 //!   overflowing push with [`ServeError::Busy`]; the client retries, and
-//!   nothing already queued is touched.
+//!   nothing already queued is touched. A packet longer than the whole
+//!   queue is refused with [`ServeError::PacketTooLarge`] instead, since
+//!   no retry could take it.
 //! * **Telemetry** — [`Telemetry`] snapshots per-shard throughput, queue
 //!   depth, and per-packet enqueue→processed latency percentiles backed by
 //!   [`dhf_metrics::LatencyHistogram`].
@@ -89,14 +91,25 @@ pub enum ServeError {
     /// [`dhf_oximetry::OximetryConfig`], or misaligned wavelength
     /// channels); nothing was buffered.
     Oximetry(OximetryError),
-    /// The push would overflow the session's bounded ingestion queue (or
-    /// the packet alone exceeds the capacity). Retry after draining via
+    /// The push would overflow the session's bounded ingestion queue,
+    /// which still holds earlier packets. Retry after draining via
     /// [`SessionManager::poll`](crate::SessionManager::poll) or a pause.
     Busy {
         /// The backpressured session.
         session: SessionId,
         /// Samples already queued.
         queued_samples: usize,
+        /// Samples the rejected push carried.
+        incoming: usize,
+        /// The configured queue capacity.
+        capacity: usize,
+    },
+    /// The packet alone is longer than the session's queue capacity, so
+    /// no retry can succeed; split it into smaller packets. Nothing was
+    /// buffered.
+    PacketTooLarge {
+        /// The addressed session.
+        session: SessionId,
         /// Samples the rejected push carried.
         incoming: usize,
         /// The configured queue capacity.
@@ -134,6 +147,11 @@ impl std::fmt::Display for ServeError {
                 f,
                 "{session} is busy: {queued_samples} samples queued, push of {incoming} \
                  exceeds capacity {capacity}"
+            ),
+            ServeError::PacketTooLarge { session, incoming, capacity } => write!(
+                f,
+                "{session} cannot take a packet of {incoming} samples: the queue holds \
+                 {capacity}"
             ),
             ServeError::SessionFailed { session, error } => {
                 write!(f, "{session} failed: {error}")

@@ -177,8 +177,9 @@ impl SessionManager {
     ///
     /// Validation is synchronous — a rejected push buffers nothing — and a
     /// push that would overflow the session's bounded queue is refused
-    /// with [`ServeError::Busy`]. The separation itself happens on the
-    /// session's worker; collect results with [`poll`](Self::poll).
+    /// with [`ServeError::Busy`], which a later retry can get past. The
+    /// separation itself happens on the session's worker; collect results
+    /// with [`poll`](Self::poll).
     ///
     /// # Errors
     ///
@@ -186,8 +187,10 @@ impl SessionManager {
     /// * [`ServeError::SessionFailed`] — a previous chunk failed; the
     ///   session only accepts [`poll`](Self::poll) / [`close`](Self::close).
     /// * [`ServeError::Session`] — track count/length/value validation.
-    /// * [`ServeError::Busy`] — the queue cannot take the packet, or the
-    ///   packet alone exceeds the queue capacity.
+    /// * [`ServeError::PacketTooLarge`] — the packet alone exceeds the
+    ///   queue capacity; it must be split, not retried.
+    /// * [`ServeError::Busy`] — the queue cannot take the packet until
+    ///   the worker drains it; retry later.
     pub fn push(
         &self,
         id: SessionId,
@@ -255,14 +258,18 @@ impl SessionManager {
             }
         }
 
+        let capacity = self.cfg.queue_capacity();
+        let incoming = samples.len();
+        if incoming > capacity {
+            return Err(ServeError::PacketTooLarge { session: id, incoming, capacity });
+        }
+
         // The O(samples) work — the track check and packet copies — runs
         // *before* the shard lock, so the critical section is a few
         // pointer moves and never serializes other clients (or the
         // worker's batch drain) behind a memcpy.
-        let checked = check_tracks(n_sources, samples.len(), f0_tracks);
-        let capacity = self.cfg.queue_capacity();
-        let incoming = samples.len();
-        let item = (checked.is_ok() && incoming > 0 && incoming <= capacity).then(|| IngestItem {
+        let checked = check_tracks(n_sources, incoming, f0_tracks);
+        let item = (checked.is_ok() && incoming > 0).then(|| IngestItem {
             samples: samples.to_vec(),
             samples2: lambda2.map(<[f64]>::to_vec),
             tracks: f0_tracks.iter().map(|t| t.to_vec()).collect(),
@@ -578,14 +585,16 @@ mod tests {
             Err(e) => panic!("unexpected error: {e}"),
         }
 
-        // A packet larger than the whole capacity is Busy under every
-        // policy.
+        // A packet larger than the whole capacity can never be queued: it
+        // is refused as too large, not as busy, and not counted as busy.
+        let busy_before = manager.telemetry().busy_rejections();
         let huge = vec![0.0f64; 251];
         let huge_track = vec![1.3f64; 251];
         assert!(matches!(
             manager.push(id, &huge, &[&huge_track]),
-            Err(ServeError::Busy { incoming: 251, capacity: 250, .. })
+            Err(ServeError::PacketTooLarge { incoming: 251, capacity: 250, .. })
         ));
+        assert_eq!(manager.telemetry().busy_rejections(), busy_before);
     }
 
     #[test]

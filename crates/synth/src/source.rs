@@ -153,13 +153,12 @@ mod tests {
 
     #[test]
     fn rendered_spectrum_sits_in_schedule_band() {
-        use dhf_dsp::fft::fft_real;
+        use dhf_dsp::fft::power_spectrum;
         let mut rng = StdRng::seed_from_u64(9);
         let sched = PeriodSchedule::random(40.0, 1.2, 1.6, 1.0, 0.05, &mut rng);
         let src = QuasiPeriodicSource::new(Template::Ppg, sched);
         let sig = src.render(100.0, 4000);
-        let spec = fft_real(&sig.samples);
-        let mag: Vec<f64> = spec.iter().map(|c| c.abs()).collect();
+        let mag: Vec<f64> = power_spectrum(&sig.samples).iter().map(|p| p.sqrt()).collect();
         // Fundamental band bins at 40 s window: f [1.2,1.6] → bins 48..64.
         let band: f64 = mag[44..70].iter().sum();
         let below: f64 = mag[4..40].iter().sum();

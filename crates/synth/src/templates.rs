@@ -139,13 +139,12 @@ mod tests {
 
     #[test]
     fn templates_have_harmonic_content() {
-        use dhf_dsp::fft::fft_real;
+        use dhf_dsp::fft::power_spectrum;
         // One period sampled at 256 points: PPG must have strong 2nd/3rd
         // harmonics (that is what makes separation hard and harmonic
         // convolutions useful).
         let s = Template::Ppg.sample_period(256);
-        let spec = fft_real(&s);
-        let mag: Vec<f64> = spec.iter().map(|c| c.abs()).collect();
+        let mag: Vec<f64> = power_spectrum(&s).iter().map(|p| p.sqrt()).collect();
         assert!(mag[2] > 0.05 * mag[1], "2nd harmonic too weak");
         assert!(mag[3] > 0.01 * mag[1], "3rd harmonic too weak");
     }

@@ -19,23 +19,12 @@ use crate::Tensor;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarId(usize);
 
-impl VarId {
-    /// The node's index in graph insertion order.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// Operator attached to a graph node.
-///
-/// Exposed for introspection (e.g. graph dumps in tests); construct nodes
-/// through the [`Graph`] builder methods, not by hand. Scalar attributes
-/// (slopes, epsilons) are stored as `f32` and converted to
-/// the graph's working precision at evaluation time — exact for both
-/// precisions since every `f32` widens losslessly.
+/// Operator attached to a graph node, built by the [`Graph`] builder
+/// methods. Scalar attributes (slopes, epsilons) are stored as `f32` and
+/// converted to the graph's working precision at evaluation time — exact
+/// for both precisions since every `f32` widens losslessly.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum Op {
+pub(crate) enum Op {
     /// External value: network input or trainable parameter.
     Leaf,
     /// Elementwise sum.
@@ -197,11 +186,6 @@ impl<S: Scalar> Graph<S> {
         let node = &mut self.nodes[id.0];
         assert!(matches!(node.op, Op::Leaf), "leaf_value_mut only applies to leaves");
         &mut node.value
-    }
-
-    /// The operator of a node.
-    pub fn op(&self, id: VarId) -> &Op {
-        &self.nodes[id.0].op
     }
 
     fn push_leaf(&mut self, value: Tensor<S>, trainable: bool) -> VarId {

@@ -59,33 +59,6 @@ pub mod init;
 pub mod ops;
 pub mod optim;
 
-pub use graph::{Graph, Op, VarId};
+pub use graph::{Graph, VarId};
 pub use scalar::Scalar;
 pub use tensor::Tensor;
-
-/// Errors produced when constructing or combining tensors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TensorError {
-    /// Operand shapes are incompatible for the requested operation.
-    ShapeMismatch {
-        /// Shape of the left/first operand.
-        left: Vec<usize>,
-        /// Shape of the right/second operand.
-        right: Vec<usize>,
-    },
-    /// A parameter was outside its valid domain.
-    InvalidParameter(&'static str),
-}
-
-impl std::fmt::Display for TensorError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TensorError::ShapeMismatch { left, right } => {
-                write!(f, "shape mismatch: {left:?} vs {right:?}")
-            }
-            TensorError::InvalidParameter(name) => write!(f, "invalid parameter `{name}`"),
-        }
-    }
-}
-
-impl std::error::Error for TensorError {}

@@ -168,16 +168,18 @@ impl<S: Scalar> DeepPriorNet<S> {
         self.graph.set_value(self.target, target.clone());
         self.graph.set_value(self.mask, mask.clone());
         let mut adam: Adam<S> = Adam::new(lr);
-        self.graph.forward();
-        let initial_loss = self.graph.value(self.loss).data()[0].to_f32();
+        // The first step's forward gives the initial loss; a 0-step fit
+        // takes it from the closing forward.
+        let mut initial_loss = None;
         for _ in 0..iterations {
             self.graph.forward();
+            initial_loss.get_or_insert(self.loss_value());
             self.graph.backward(self.loss);
             adam.step(&mut self.graph);
         }
         self.graph.forward();
-        let final_loss = self.graph.value(self.loss).data()[0].to_f32();
-        TrainReport { initial_loss, final_loss, iterations }
+        let final_loss = self.loss_value();
+        TrainReport { initial_loss: initial_loss.unwrap_or(final_loss), final_loss, iterations }
     }
 
     /// Fine-tunes the *current* weights toward a new target: at most
@@ -205,14 +207,14 @@ impl<S: Scalar> DeepPriorNet<S> {
         self.graph.set_value(self.target, target.clone());
         self.graph.set_value(self.mask, mask.clone());
         let mut adam: Adam<S> = Adam::new(params.lr);
-        self.graph.forward();
-        let initial_loss = self.graph.value(self.loss).data()[0].to_f32();
+        let mut initial_loss = None;
         let mut best = f32::INFINITY;
         let mut stale = 0usize;
         let mut steps = 0usize;
         for _ in 0..params.max_iterations {
             self.graph.forward();
-            let now = self.graph.value(self.loss).data()[0].to_f32();
+            let now = self.loss_value();
+            initial_loss.get_or_insert(now);
             if now < best * (1.0 - params.min_rel_improvement) {
                 best = now;
                 stale = 0;
@@ -227,8 +229,12 @@ impl<S: Scalar> DeepPriorNet<S> {
             steps += 1;
         }
         self.graph.forward();
-        let final_loss = self.graph.value(self.loss).data()[0].to_f32();
-        TrainReport { initial_loss, final_loss, iterations: steps }
+        let final_loss = self.loss_value();
+        TrainReport {
+            initial_loss: initial_loss.unwrap_or(final_loss),
+            final_loss,
+            iterations: steps,
+        }
     }
 
     /// The network's current output image `[1, bins, frames]`
@@ -399,5 +405,28 @@ mod tests {
             "expected early stop, ran all {} steps",
             warm.iterations
         );
+    }
+
+    #[test]
+    fn initial_loss_is_the_first_steps_loss() {
+        let net = || DeepPriorNet::<f32>::new(&tiny_cfg(), 16, 8, &mut StdRng::seed_from_u64(10));
+        let mut t = Tensor::filled(&[1, 16, 8], 0.05);
+        t.data_mut()[3 * 8..4 * 8].fill(0.9);
+        let mask = Tensor::filled(&[1, 16, 8], 1.0);
+
+        let none = net().unwrap().fit(&t, &mask, 0, 0.02);
+        assert_eq!((none.iterations, none.initial_loss), (0, none.final_loss));
+        let one = net().unwrap().fit(&t, &mask, 1, 0.02);
+        assert_eq!(one.initial_loss.to_bits(), none.initial_loss.to_bits());
+        assert_ne!(one.final_loss, one.initial_loss, "one step moves the loss");
+
+        let warm = |max_iterations| {
+            let params = WarmFitParams { max_iterations, ..WarmFitParams::default() };
+            net().unwrap().fit_warm(&t, &mask, &params)
+        };
+        let (none, one) = (warm(0), warm(1));
+        assert_eq!((none.iterations, none.initial_loss), (0, none.final_loss));
+        assert_eq!(one.initial_loss.to_bits(), none.initial_loss.to_bits());
+        assert_eq!(one.iterations, 1);
     }
 }

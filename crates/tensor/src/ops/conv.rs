@@ -26,6 +26,11 @@ pub fn check_shapes<S: Scalar>(
 }
 
 /// Forward convolution. `out` must be pre-shaped to `[cout, H, W]`.
+///
+/// # Panics
+///
+/// Panics on the shape errors of [`check_shapes`] and when `out` is not
+/// `[cout, H, W]`.
 pub fn forward<S: Scalar>(
     x: &Tensor<S>,
     w: &Tensor<S>,
@@ -34,7 +39,7 @@ pub fn forward<S: Scalar>(
     out: &mut Tensor<S>,
 ) {
     let (cin, h, wd, cout, kh, kw) = check_shapes(x, w);
-    debug_assert_eq!(out.shape(), &[cout, h, wd]);
+    assert_eq!(out.shape(), &[cout, h, wd], "conv2d output shape");
     let pad_h = (kh / 2) * dil_h;
     let pad_w = (kw / 2) * dil_w;
     let xd = x.data();
@@ -78,6 +83,11 @@ pub fn forward<S: Scalar>(
 
 /// Backward pass: accumulates `∂L/∂x` into `grad_x` and `∂L/∂w` into
 /// `grad_w` given upstream `grad_out`.
+///
+/// # Panics
+///
+/// Panics on the shape errors of [`check_shapes`] and when `grad_out` is
+/// not `[cout, H, W]`, `grad_x` not `x`'s shape or `grad_w` not `w`'s.
 #[allow(clippy::too_many_arguments)]
 pub fn backward<S: Scalar>(
     x: &Tensor<S>,
@@ -89,7 +99,9 @@ pub fn backward<S: Scalar>(
     grad_w: &mut Tensor<S>,
 ) {
     let (cin, h, wd, cout, kh, kw) = check_shapes(x, w);
-    debug_assert_eq!(grad_out.shape(), &[cout, h, wd]);
+    assert_eq!(grad_out.shape(), &[cout, h, wd], "conv2d grad_out shape");
+    assert_eq!(grad_x.shape(), x.shape(), "conv2d grad_x shape");
+    assert_eq!(grad_w.shape(), w.shape(), "conv2d grad_w shape");
     let pad_h = (kh / 2) * dil_h;
     let pad_w = (kw / 2) * dil_w;
     let xd = x.data();
@@ -230,5 +242,41 @@ mod tests {
         let w = Tensor::zeros(&[1, 1, 2, 2]);
         let mut out = Tensor::zeros(&[1, 3, 3]);
         forward(&x, &w, 1, 1, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d output shape")]
+    fn forward_checks_output_shape() {
+        let x: Tensor = Tensor::zeros(&[1, 4, 3]);
+        let w = Tensor::zeros(&[1, 1, 3, 3]);
+        let mut out = Tensor::zeros(&[1, 4, 4]);
+        forward(&x, &w, 1, 1, &mut out);
+    }
+
+    /// Runs `backward` on a `[2, 4, 3]` input and `[1, 2, 3, 3]` weight with
+    /// the given operand shapes.
+    fn backward_with(go: &[usize], gx: &[usize], gw: &[usize]) {
+        let x: Tensor = Tensor::zeros(&[2, 4, 3]);
+        let w = Tensor::zeros(&[1, 2, 3, 3]);
+        let (go, mut gx, mut gw) = (Tensor::zeros(go), Tensor::zeros(gx), Tensor::zeros(gw));
+        backward(&x, &w, &go, 1, 1, &mut gx, &mut gw);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d grad_out shape")]
+    fn backward_checks_grad_out_shape() {
+        backward_with(&[1, 4, 4], &[2, 4, 3], &[1, 2, 3, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d grad_x shape")]
+    fn backward_checks_grad_x_shape() {
+        backward_with(&[1, 4, 3], &[2, 4, 2], &[1, 2, 3, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d grad_w shape")]
+    fn backward_checks_grad_w_shape() {
+        backward_with(&[1, 4, 3], &[2, 4, 3], &[1, 1, 3, 3]);
     }
 }

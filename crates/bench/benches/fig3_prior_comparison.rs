@@ -12,7 +12,7 @@
 //! hidden-region error than the anchor>1 + pooling baseline; dilation
 //! helps further on pattern-aligned (constant-frequency) inputs.
 
-use dhf_bench::{env_usize, fast_mode};
+use dhf_bench::fast_mode;
 use dhf_nn::ablation::PriorVariant;
 use dhf_nn::{DeepPriorNet, NetConfig};
 use dhf_tensor::Tensor;
@@ -64,11 +64,7 @@ fn hidden_mse(output: &Tensor, truth: &Tensor, mask: &Tensor) -> f64 {
 fn main() {
     let bins = 40;
     let frames = 48;
-    let iters_list: Vec<usize> = if fast_mode() {
-        vec![20, 60]
-    } else {
-        vec![env_usize("DHF_FIG3_IT1", 50), env_usize("DHF_FIG3_IT2", 150), 300]
-    };
+    let iters_list: Vec<usize> = if fast_mode() { vec![20, 60] } else { vec![50, 150, 300] };
     let (target, mask, _hidden) = masked_ridge_image(bins, frames);
 
     println!("=== Figure 3: hidden-region reconstruction MSE by prior variant ===");

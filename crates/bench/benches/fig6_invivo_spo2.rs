@@ -9,10 +9,13 @@
 //! (the paper reports 0.24→0.81 and 0.44→0.92).
 
 use dhf_baselines::{masking::SpectralMasking, SeparationContext, Separator};
-use dhf_bench::{bench_dhf_config, dhf_iterations, env_f64, fast_mode, Stopwatch};
+use dhf_bench::{bench_dhf_config, dhf_iterations, fast_mode, Stopwatch};
 use dhf_core::RoundContext;
 use dhf_oximetry::{ac_amplitude, dc_level, modulation_ratio, spo2_correlation};
 use dhf_synth::invivo::{simulate, InvivoConfig, TfoRecording};
+
+/// Length of the analysis window centred on each blood draw (seconds).
+const WINDOW_S: f64 = 60.0;
 
 /// Extracts the fetal AC estimate for one analysis window on one channel.
 /// DHF windows run through the shared `dhf_ctx` so its SoA spectrogram
@@ -49,7 +52,7 @@ fn fetal_estimate(
 /// Runs one sheep with one method, returning `(correlation, r_values)`.
 fn evaluate_sheep(recording: &TfoRecording, method: &str, iterations: usize) -> (f64, Vec<f64>) {
     let fs = recording.config.fs;
-    let half_window = (env_f64("DHF_INVIVO_WINDOW_S", 60.0) * fs / 2.0) as usize;
+    let half_window = (WINDOW_S * fs / 2.0) as usize;
     let mut cfg = bench_dhf_config();
     cfg.inpaint.iterations = iterations;
     let mut dhf_ctx = RoundContext::new(&cfg);
@@ -83,7 +86,7 @@ fn main() {
     println!("=== Figure 6: in-vivo SpO2 estimation (simulated TFO) ===");
     // The full 40-minute protocol is heavy for CI-scale runs: scale it
     // down while preserving structure (7 draws, desaturation episode).
-    let scale = if fast_mode() { 0.15 } else { env_f64("DHF_INVIVO_SCALE", 0.25) };
+    let scale = if fast_mode() { 0.15 } else { 0.25 };
     let iterations = dhf_iterations().min(150);
     println!("(protocol scale {scale}, {} deep-prior iterations per round)", iterations);
 

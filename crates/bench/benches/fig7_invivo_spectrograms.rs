@@ -4,11 +4,15 @@
 //! shares before and after separation (the quantitative content of the
 //! figure: the fetal ridge emerges once maternal/respiration are removed).
 
-use dhf_bench::{artifact_dir, bench_dhf_config, dhf_iterations, env_f64, fast_mode, write_pgm};
+use dhf_bench::{artifact_dir, bench_dhf_config, dhf_iterations, fast_mode, write_pgm};
 use dhf_core::separate;
 use dhf_dsp::stft::{stft, StftConfig};
 use dhf_oximetry::dc_level;
 use dhf_synth::invivo::{simulate, InvivoConfig};
+
+/// Length of the analysis segment taken from the middle of the record
+/// (seconds).
+const SEGMENT_S: f64 = 60.0;
 
 /// Energy share of a frequency band in a spectrogram.
 fn band_share(spec: &dhf_dsp::Spectrogram, cfg: &StftConfig, lo_hz: f64, hi_hz: f64) -> f64 {
@@ -34,13 +38,13 @@ fn band_share(spec: &dhf_dsp::Spectrogram, cfg: &StftConfig, lo_hz: f64, hi_hz: 
 
 fn main() {
     println!("=== Figure 7: sheep-2 spectrograms and separated fetal signal ===");
-    let scale = if fast_mode() { 0.15 } else { env_f64("DHF_INVIVO_SCALE", 0.25) };
+    let scale = if fast_mode() { 0.15 } else { 0.25 };
     let recording = simulate(&InvivoConfig::sheep2().scaled(scale));
     let fs = recording.config.fs;
     let dir = artifact_dir();
 
     // Analysis segment: a window in the middle of the record.
-    let seg_len = ((env_f64("DHF_INVIVO_WINDOW_S", 60.0)) * fs) as usize;
+    let seg_len = (SEGMENT_S * fs) as usize;
     let mid = recording.len() / 2;
     let lo = mid.saturating_sub(seg_len / 2);
     let hi = (lo + seg_len).min(recording.len());

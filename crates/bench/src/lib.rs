@@ -27,12 +27,12 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 /// Reads an environment knob with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
+fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Reads an integer environment knob with a default.
-pub fn env_usize(name: &str, default: usize) -> usize {
+fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 

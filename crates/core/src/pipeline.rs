@@ -389,13 +389,15 @@ impl RoundContext {
     }
 
     /// One DHF round targeting source `si` of the given residual
-    /// (unwarp → mask → in-paint → phase → resynthesize → restore).
+    /// (unwarp → mask → in-paint → phase → resynthesize → restore). The
+    /// tracks must already have passed [`check_tracks`], as
+    /// [`RoundContext::separate_refs`] does before the first round.
     ///
     /// # Errors
     ///
     /// Returns [`DhfError::InputTooShort`] when the unwarped residual does
     /// not cover one analysis window, plus any alignment or network error.
-    pub fn run_round(
+    fn run_round(
         &mut self,
         residual: &[f64],
         fs: f64,
@@ -679,6 +681,13 @@ mod tests {
         assert!(matches!(
             separate(&[0.0; 100], 100.0, &bad, &cfg),
             Err(DhfError::Tracks(TrackError::Length { track: 0, expected: 100, got: 50 }))
+        ));
+        // An empty interferer track fails the check before any round
+        // reads it.
+        let empty_second = vec![vec![1.0; 100], Vec::new()];
+        assert!(matches!(
+            separate(&[0.0; 100], 100.0, &empty_second, &cfg),
+            Err(DhfError::Tracks(TrackError::Length { track: 1, expected: 100, got: 0 }))
         ));
         // Too short to unwarp into one window.
         let short_tracks = vec![vec![1.0; 100]];

@@ -16,8 +16,8 @@ fn stage_layout() -> LatencyHistogram {
 /// span events.
 ///
 /// Owners are single-threaded aggregators (a serve worker drains its
-/// ring into the shard's breakdown under the shard counter lock; a bench
-/// harness drains inline). Breakdowns merge per-stage — same fixed
+/// ring into a local breakdown and merges that into its shard's under
+/// the shard lock; a bench harness drains inline). Breakdowns merge per-stage — same fixed
 /// layout everywhere — so shard breakdowns roll up into one fleet view
 /// exactly like serving latency histograms do.
 ///

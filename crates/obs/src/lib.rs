@@ -33,13 +33,11 @@
 //! ```
 
 mod breakdown;
-mod gauge;
 mod prom;
 mod span;
 mod stage;
 
 pub use breakdown::StageBreakdown;
-pub use gauge::HighWatermark;
 pub use prom::PromText;
 pub use span::{drain_thread_into, pending_events, record, span, SpanGuard};
 pub use stage::Stage;

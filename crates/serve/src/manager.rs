@@ -5,7 +5,7 @@ use crate::session::{
     CloseOutcome, PushReceipt, SessionId, SessionKind, SessionOutput, SessionShared,
 };
 use crate::shard::{run_worker, Command, Engine, IngestItem, SessionQueue, ShardShared};
-use crate::telemetry::{ShardCounters, Telemetry};
+use crate::telemetry::{ShardSnapshot, Telemetry};
 use crate::ServeError;
 use dhf_dsp::tracks::check_tracks;
 use dhf_oximetry::{OximetryConfig, OximetryError, StreamingOximeter};
@@ -24,7 +24,6 @@ fn shard_of(id: u64, shards: usize) -> usize {
 
 struct ShardHandle {
     shared: Arc<ShardShared>,
-    counters: Arc<ShardCounters>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -78,13 +77,13 @@ pub struct SessionManager {
 impl SessionManager {
     /// Starts the worker pool (one OS thread per shard).
     pub fn new(cfg: ServeConfig) -> Self {
+        let started = Instant::now();
         let shards = (0..cfg.workers())
             .map(|_| {
-                let shared = Arc::new(ShardShared::default());
-                let counters = Arc::new(ShardCounters::new());
-                let (s, c) = (Arc::clone(&shared), Arc::clone(&counters));
-                let join = std::thread::spawn(move || run_worker(s, c));
-                ShardHandle { shared, counters, join: Some(join) }
+                let shared = Arc::new(ShardShared::new(started));
+                let s = Arc::clone(&shared);
+                let join = std::thread::spawn(move || run_worker(s));
+                ShardHandle { shared, join: Some(join) }
             })
             .collect();
         SessionManager {
@@ -92,7 +91,7 @@ impl SessionManager {
             shards,
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            started: Instant::now(),
+            started,
         }
     }
 
@@ -277,7 +276,8 @@ impl SessionManager {
         });
 
         let handle = &self.shards[shard];
-        let mut st = handle.shared.state.lock().unwrap();
+        let mut guard = handle.shared.state.lock().unwrap();
+        let st = &mut *guard;
         let q = st.queues.get_mut(&id.0).ok_or(ServeError::UnknownSession(id))?;
 
         // Bad values are located by absolute position in the session's
@@ -288,7 +288,7 @@ impl SessionManager {
             return Ok(PushReceipt { queued_samples: q.queued_samples });
         }
         if q.queued_samples + incoming > capacity {
-            handle.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
+            st.telemetry.busy_rejections += 1;
             return Err(ServeError::Busy {
                 session: id,
                 queued_samples: q.queued_samples,
@@ -300,10 +300,10 @@ impl SessionManager {
         q.queued_samples += incoming;
         q.enqueued_total += incoming;
         let queued_samples = q.queued_samples;
-        drop(st);
-        handle.counters.queue_depth_hwm.observe(queued_samples as u64);
-
-        handle.counters.samples_in.fetch_add(incoming as u64, Ordering::Relaxed);
+        let t = &mut st.telemetry;
+        t.samples_in += incoming as u64;
+        t.queue_depth_hwm = t.queue_depth_hwm.max(queued_samples as u64);
+        drop(guard);
         handle.shared.cv.notify_one();
         Ok(PushReceipt { queued_samples })
     }
@@ -377,18 +377,34 @@ impl SessionManager {
     }
 
     /// Takes a point-in-time telemetry snapshot across all shards.
+    ///
+    /// Each shard's counters are copied in one critical section with its
+    /// queue depth, so within a shard the snapshot is consistent: every
+    /// sample it counts as queued, emitted or dropped is also counted in
+    /// `samples_in`.
     pub fn telemetry(&self) -> Telemetry {
         let elapsed = self.started.elapsed();
+        let secs = elapsed.as_secs_f64();
         let shards = self
             .shards
             .iter()
             .enumerate()
             .map(|(i, h)| {
-                let (open_sessions, queue_depth) = {
+                let mut s = {
                     let st = h.shared.state.lock().unwrap();
-                    (st.queues.len(), st.queues.values().map(|q| q.queued_samples).sum())
+                    ShardSnapshot {
+                        open_sessions: st.queues.len(),
+                        queue_depth_samples: st.queues.values().map(|q| q.queued_samples).sum(),
+                        ..st.telemetry.clone()
+                    }
                 };
-                h.counters.snapshot(i, open_sessions, queue_depth, elapsed)
+                s.shard = i;
+                // The state holds when the worker last finished a packet;
+                // one finished after `elapsed` was read is clamped to it.
+                s.active_secs = s.active_secs.min(secs);
+                s.samples_per_sec =
+                    if s.active_secs > 0.0 { s.samples_out as f64 / s.active_secs } else { 0.0 };
+                s
             })
             .collect();
         Telemetry { elapsed, shards }

@@ -12,14 +12,25 @@
 //! lock, and then processes each session's packets back to back. Clients
 //! enqueue concurrently while the worker separates; consecutive packets
 //! of one session run against hot per-session buffers.
+//!
+//! Each shard has one lock, [`ShardShared::state`]: it guards the command
+//! queue, the ingestion queues and the shard's telemetry, and no engine
+//! code runs under it. The worker takes it once per wakeup to drain the
+//! queues (counting the batch as it does), once per processed packet to
+//! publish what the packet changed, and once more per wakeup only when
+//! tracing left span events to merge. Clients take it to open, push,
+//! close and snapshot telemetry. `poll` does not: finished output goes to
+//! the session's own mailbox, so a client spinning on `poll` between
+//! pushes never holds up the worker's drain and publishes or other
+//! clients' pushes.
 
 use crate::session::{SessionKind, SessionShared};
-use crate::telemetry::ShardCounters;
+use crate::telemetry::ShardSnapshot;
 use crate::CloseOutcome;
+use dhf_obs::StageBreakdown;
 use dhf_oximetry::{OximetryError, Spo2Sample, StreamingOximeter};
 use dhf_stream::{StreamError, StreamingSeparator};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -131,19 +142,41 @@ pub(crate) enum Command {
 }
 
 /// State shared between the manager and one worker thread.
-#[derive(Default)]
 pub(crate) struct ShardShared {
+    /// The shard's one lock: its commands, ingestion queues and
+    /// telemetry.
     pub(crate) state: Mutex<ShardState>,
     pub(crate) cv: Condvar,
+    /// The manager's start instant. The worker stamps each finished
+    /// packet against it, so last-activity times share the snapshot's
+    /// clock.
+    started: Instant,
 }
 
-#[derive(Default)]
+impl ShardShared {
+    pub(crate) fn new(started: Instant) -> Self {
+        let state = ShardState {
+            commands: VecDeque::new(),
+            queues: HashMap::new(),
+            stop: false,
+            telemetry: ShardSnapshot::new(),
+        };
+        ShardShared { state: Mutex::new(state), cv: Condvar::new(), started }
+    }
+}
+
 pub(crate) struct ShardState {
     pub(crate) commands: VecDeque<Command>,
     /// Ingestion queues keyed by session id. Created/removed by the
     /// manager (open/close), drained by the worker.
     pub(crate) queues: HashMap<u64, SessionQueue>,
     pub(crate) stop: bool,
+    /// The shard's counters, each updated inside a critical section its
+    /// writer already holds. The snapshot fills in `shard`,
+    /// `open_sessions`, `queue_depth_samples` and `samples_per_sec`;
+    /// `active_secs` holds the time since the manager started at which
+    /// the worker last finished a packet.
+    pub(crate) telemetry: ShardSnapshot,
 }
 
 /// A session as the worker sees it.
@@ -163,10 +196,10 @@ struct WorkerSession {
     /// never reached the engine, and are reported as dropped at close.
     skipped: usize,
     /// FFT plans already booked into the shard's `plans_built` gauge.
-    /// Deltas are booked after every scheduling batch that ran this
-    /// session (and once more at close, for anything the flush builds),
-    /// so the fleet gauge tracks live sessions instead of staying flat
-    /// at zero until the first close.
+    /// Deltas are booked after every packet this session ran (and once
+    /// more at close, for anything the flush builds), so the fleet gauge
+    /// tracks live sessions instead of staying flat at zero until the
+    /// first close.
     plans_booked: usize,
     /// Warm fits already booked into the shard's `warm_hits` counter
     /// (delta booking, same scheme as `plans_booked`).
@@ -175,32 +208,37 @@ struct WorkerSession {
     cold_booked: u64,
 }
 
-/// Books any FFT plans the engine built since the last booking into the
-/// shard's `plans_built` gauge. The engine's count is monotone, so the
-/// delta is what this batch (or the close-time flush) actually added.
-fn book_plan_delta(ws: &mut WorkerSession, counters: &ShardCounters) {
-    let built = ws.engine.fft_plans_built();
-    let delta = built.saturating_sub(ws.plans_booked);
-    if delta > 0 {
-        counters.plans_built.fetch_add(delta as u64, Ordering::Relaxed);
-        ws.plans_booked = built;
-    }
+/// Adds what one packet (or a close) changed to the shard's telemetry in
+/// one shard-lock acquisition: the FFT plans and warm/cold fits the
+/// engine added since the last booking, then whatever `update` records.
+/// The engine's counts are read before the lock is taken; they are
+/// monotone, so each delta is what this packet or the close-time flush
+/// added.
+fn publish(shard: &ShardShared, ws: &mut WorkerSession, update: impl FnOnce(&mut ShardSnapshot)) {
+    let plans = ws.engine.fft_plans_built();
     let warm = ws.engine.warm_hits();
-    let delta = warm.saturating_sub(ws.warm_booked);
-    if delta > 0 {
-        counters.warm_hits.fetch_add(delta, Ordering::Relaxed);
-        ws.warm_booked = warm;
-    }
     let cold = ws.engine.cold_fits();
-    let delta = cold.saturating_sub(ws.cold_booked);
-    if delta > 0 {
-        counters.cold_fits.fetch_add(delta, Ordering::Relaxed);
-        ws.cold_booked = cold;
+    {
+        let mut st = shard.state.lock().unwrap();
+        let t = &mut st.telemetry;
+        t.plans_built += plans.saturating_sub(ws.plans_booked) as u64;
+        t.warm_hits += warm.saturating_sub(ws.warm_booked);
+        t.cold_fits += cold.saturating_sub(ws.cold_booked);
+        update(t);
+    }
+    (ws.plans_booked, ws.warm_booked, ws.cold_booked) = (plans, warm, cold);
+}
+
+/// Books delivered SpO2 windows into the shard's trend statistics.
+fn book_spo2(t: &mut ShardSnapshot, windows: &[Spo2Sample]) {
+    t.spo2_updates += windows.len() as u64;
+    for w in windows {
+        t.spo2.record(w.spo2);
     }
 }
 
 /// The worker run loop. Exits when `stop` is set and no commands remain.
-pub(crate) fn run_worker(shared: Arc<ShardShared>, counters: Arc<ShardCounters>) {
+pub(crate) fn run_worker(shared: Arc<ShardShared>) {
     let mut sessions: HashMap<u64, WorkerSession> = HashMap::new();
     loop {
         let (commands, mut batches, stop) = {
@@ -221,6 +259,13 @@ pub(crate) fn run_worker(shared: Arc<ShardShared>, counters: Arc<ShardCounters>)
                     q.queued_samples = 0;
                     batches.push((id, q.items.drain(..).collect()));
                 }
+            }
+            if !batches.is_empty() {
+                let packets = batches.iter().map(|(_, items)| items.len() as u64).sum();
+                let t = &mut st.telemetry;
+                t.batches_run += 1;
+                t.batch_sessions_hwm = t.batch_sessions_hwm.max(batches.len() as u64);
+                t.batch_packets_hwm = t.batch_packets_hwm.max(packets);
             }
             (commands, batches, st.stop)
         };
@@ -253,11 +298,11 @@ pub(crate) fn run_worker(shared: Arc<ShardShared>, counters: Arc<ShardCounters>)
                 Command::Close { id, leftovers, ack } => {
                     let outcome = match sessions.remove(&id) {
                         Some(mut ws) => {
-                            let out = close_session(&mut ws, leftovers, &counters);
+                            let out = close_session(&mut ws, leftovers, &shared);
                             // Drain before acking: a telemetry snapshot
                             // taken right after close() returns must see
                             // the spans the close just produced.
-                            drain_spans(&counters);
+                            drain_spans(&shared);
                             out
                         }
                         // Unreachable through the manager API (the entry
@@ -280,48 +325,45 @@ pub(crate) fn run_worker(shared: Arc<ShardShared>, counters: Arc<ShardCounters>)
         // session. Id order keeps scheduling reproducible run to run.
         batches.sort_unstable_by_key(|(id, _)| *id);
         if !batches.is_empty() {
-            counters.batches_run.fetch_add(1, Ordering::Relaxed);
-            counters.batch_sessions_hwm.observe(batches.len() as u64);
-            counters
-                .batch_packets_hwm
-                .observe(batches.iter().map(|(_, items)| items.len() as u64).sum());
             let batch_span = dhf_obs::span(dhf_obs::Stage::BatchRun);
             for (id, items) in batches {
                 // A batch can outlive its session only by racing a close,
                 // and close drains the queue first — but stay defensive.
                 if let Some(ws) = sessions.get_mut(&id) {
                     for item in items {
-                        process_item(ws, item, &counters);
+                        process_item(ws, item, &shared);
                     }
-                    book_plan_delta(ws, &counters);
                 }
             }
             drop(batch_span);
         }
-        drain_spans(&counters);
+        drain_spans(&shared);
     }
 }
 
 /// Moves the worker thread's accumulated span events into the shard's
-/// stage breakdown. Called once per wakeup, after commands and batches —
-/// the pending check keeps the no-tracing path lock-free.
-fn drain_spans(counters: &ShardCounters) {
+/// stage breakdown: drained into a local breakdown off the lock, then
+/// merged under it. Called once per wakeup, after commands and batches —
+/// the pending check keeps the no-tracing path off the lock.
+fn drain_spans(shard: &ShardShared) {
     if dhf_obs::pending_events() > 0 {
-        dhf_obs::drain_thread_into(&mut counters.stages.lock().unwrap());
+        let mut drained = StageBreakdown::new();
+        dhf_obs::drain_thread_into(&mut drained);
+        shard.state.lock().unwrap().telemetry.stages.merge(&drained);
     }
 }
 
 /// Runs one ingest packet through its session's engine, delivers any
-/// completed blocks (or SpO2 windows) to the mailbox, and records
-/// telemetry. A packet arriving after the session failed is skipped
-/// (tallied in `WorkerSession::skipped` for the close-time books and in
-/// the shard's dropped counter immediately).
-fn process_item(ws: &mut WorkerSession, item: IngestItem, counters: &ShardCounters) {
+/// completed blocks (or SpO2 windows) to the mailbox, and then publishes
+/// the packet's telemetry. A packet arriving after the session failed is
+/// skipped (tallied in `WorkerSession::skipped` for the close-time books
+/// and in the shard's dropped counter immediately).
+fn process_item(ws: &mut WorkerSession, item: IngestItem, shard: &ShardShared) {
     // Queue wait is scheduling cost, real whether or not the engine runs.
     dhf_obs::record(dhf_obs::Stage::QueueWait, item.enqueued_at.elapsed().as_secs_f64());
     if ws.failed {
         ws.skipped += item.len();
-        counters.dropped_samples.fetch_add(item.len() as u64, Ordering::Relaxed);
+        publish(shard, ws, |t| t.dropped_samples += item.len() as u64);
         return;
     }
     let track_refs: Vec<&[f64]> = item.tracks.iter().map(Vec::as_slice).collect();
@@ -329,15 +371,16 @@ fn process_item(ws: &mut WorkerSession, item: IngestItem, counters: &ShardCounte
     // separation failure — which happens *after* the engine buffered the
     // samples. Either way the engine accepted them.
     ws.accepted += item.len();
+    let emitted_before = ws.emitted;
+    let mut blocks_emitted = 0;
+    let mut spo2 = Vec::new();
     let run_span = dhf_obs::span(dhf_obs::Stage::EngineRun);
     match &mut ws.engine {
         Engine::Separation(sep) => match sep.push(&item.samples, &track_refs) {
             Ok(blocks) => {
                 if !blocks.is_empty() {
-                    let emitted: usize = blocks.iter().map(|b| b.len()).sum();
-                    ws.emitted += emitted;
-                    counters.samples_out.fetch_add(emitted as u64, Ordering::Relaxed);
-                    counters.blocks_emitted.fetch_add(blocks.len() as u64, Ordering::Relaxed);
+                    ws.emitted += blocks.iter().map(|b| b.len()).sum::<usize>();
+                    blocks_emitted = blocks.len();
                     ws.shared.mailbox.lock().unwrap().blocks.extend(blocks);
                 }
             }
@@ -354,13 +397,11 @@ fn process_item(ws: &mut WorkerSession, item: IngestItem, counters: &ShardCounte
                     // front both wavelengths have reached — SpO2 windows
                     // can only close behind it, and the close-time books
                     // (accepted − emitted = dropped) stay meaningful.
-                    let separated = ox.samples_separated();
-                    let delta = separated.saturating_sub(ws.emitted);
-                    if delta > 0 {
-                        ws.emitted = separated;
-                        counters.samples_out.fetch_add(delta as u64, Ordering::Relaxed);
+                    ws.emitted = ws.emitted.max(ox.samples_separated());
+                    if !updates.is_empty() {
+                        ws.shared.mailbox.lock().unwrap().spo2.extend_from_slice(&updates);
                     }
-                    deliver_spo2(ws, updates, counters);
+                    spo2 = updates;
                 }
                 Err(e) => {
                     ws.failed = true;
@@ -370,35 +411,27 @@ fn process_item(ws: &mut WorkerSession, item: IngestItem, counters: &ShardCounte
         }
     }
     drop(run_span);
-    counters.packets_processed.fetch_add(1, Ordering::Relaxed);
-    counters.latency.lock().unwrap().record(item.enqueued_at.elapsed().as_secs_f64());
-    counters.touch();
-}
-
-/// Hands completed SpO2 windows to the mailbox and books their trend
-/// statistics.
-fn deliver_spo2(ws: &mut WorkerSession, updates: Vec<Spo2Sample>, counters: &ShardCounters) {
-    if updates.is_empty() {
-        return;
-    }
-    counters.spo2_updates.fetch_add(updates.len() as u64, Ordering::Relaxed);
-    {
-        let mut stats = counters.spo2.lock().unwrap();
-        for s in &updates {
-            stats.record(s.spo2);
-        }
-    }
-    ws.shared.mailbox.lock().unwrap().spo2.extend(updates);
+    let samples_out = ws.emitted - emitted_before;
+    let latency = item.enqueued_at.elapsed().as_secs_f64();
+    let finished = shard.started.elapsed().as_secs_f64();
+    publish(shard, ws, |t| {
+        t.samples_out += samples_out as u64;
+        t.blocks_emitted += blocks_emitted as u64;
+        book_spo2(t, &spo2);
+        t.packets_processed += 1;
+        t.latency.record(latency);
+        t.active_secs = finished;
+    });
 }
 
 /// Drains a closing session: leftovers, flush, mailbox.
 fn close_session(
     ws: &mut WorkerSession,
     leftovers: Vec<IngestItem>,
-    counters: &ShardCounters,
+    shard: &ShardShared,
 ) -> CloseOutcome {
     for item in leftovers {
-        process_item(ws, item, counters);
+        process_item(ws, item, shard);
     }
     let mut flush_block = None;
     let mut flush_spo2 = Vec::new();
@@ -427,28 +460,21 @@ fn close_session(
             },
         }
     }
+    let emitted_before = ws.emitted;
     if let Some(b) = &flush_block {
         ws.emitted += b.len();
-        counters.samples_out.fetch_add(b.len() as u64, Ordering::Relaxed);
-        counters.blocks_emitted.fetch_add(1, Ordering::Relaxed);
     }
     if let Some(dropped) = oximetry_flush_dropped {
         // The flush separated everything the engines accepted except the
         // too-short tail; account the remainder as emitted.
-        let final_emitted = ws.accepted.saturating_sub(dropped);
-        let delta = final_emitted.saturating_sub(ws.emitted);
-        ws.emitted = final_emitted;
-        counters.samples_out.fetch_add(delta as u64, Ordering::Relaxed);
+        ws.emitted = ws.accepted.saturating_sub(dropped);
     }
-    deliver_spo2(ws, flush_spo2, counters);
+    let samples_out = ws.emitted.saturating_sub(emitted_before);
     let mut mailbox = ws.shared.mailbox.lock().unwrap();
     let mut blocks = std::mem::take(&mut mailbox.blocks);
-    let spo2 = std::mem::take(&mut mailbox.spo2);
+    let mut spo2 = std::mem::take(&mut mailbox.spo2);
     let error = mailbox.error.take();
     drop(mailbox);
-    if let Some(b) = flush_block {
-        blocks.push(b);
-    }
     // Close the books: whatever the engine accepted but never emitted is
     // gone now. For a healthy session this is exactly the flush's
     // too-short-to-cover tail; for a failed one it also covers everything
@@ -456,9 +482,15 @@ fn close_session(
     // never reached the engine after the failure (mid-stream and
     // close-time alike).
     let unflushed = ws.accepted.saturating_sub(ws.emitted);
-    counters.dropped_samples.fetch_add(unflushed as u64, Ordering::Relaxed);
-    // Book the residual plan-cache footprint (leftover packets or the
-    // flush may have built plans since the last batch booking).
-    book_plan_delta(ws, counters);
+    // The residual plan-cache footprint (leftover packets or the flush
+    // may have built plans since the last booking) is booked here too.
+    publish(shard, ws, |t| {
+        t.samples_out += samples_out as u64;
+        t.blocks_emitted += u64::from(flush_block.is_some());
+        book_spo2(t, &flush_spo2);
+        t.dropped_samples += unflushed as u64;
+    });
+    blocks.extend(flush_block);
+    spo2.extend(flush_spo2);
     CloseOutcome { blocks, spo2, dropped_samples: ws.skipped + unflushed, error }
 }

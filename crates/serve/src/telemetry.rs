@@ -1,123 +1,18 @@
 //! Serving telemetry: per-shard counters and point-in-time snapshots.
+//!
+//! Each shard keeps its telemetry as one plain [`ShardSnapshot`] under
+//! the shard's one lock, the mutex that already guards its queues (the
+//! `shard` module says who takes it when). Writers update it inside
+//! critical sections they hold anyway, and
+//! [`SessionManager::telemetry`](crate::SessionManager::telemetry) copies
+//! it together with the queue depth, so a shard's snapshot is never
+//! torn. `poll` stays off that lock: it reads only the session's mailbox,
+//! so clients spinning on it between pushes never hold up the worker's
+//! drain and publishes.
 
 use dhf_metrics::LatencyHistogram;
-use dhf_obs::{HighWatermark, PromText, StageBreakdown};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// Live per-shard counters, shared between the manager (writers on the
-/// push path) and the worker thread (writers on the processing path).
-/// Everything hot is an atomic; the latency histogram takes a lock once
-/// per processed packet, and the stage breakdown once per worker wakeup
-/// (the worker drains its thread-local span ring in bulk).
-#[derive(Debug)]
-pub(crate) struct ShardCounters {
-    /// When the counters were created — the epoch `last_activity_nanos`
-    /// is measured against.
-    t0: Instant,
-    pub(crate) samples_in: AtomicU64,
-    pub(crate) samples_out: AtomicU64,
-    pub(crate) blocks_emitted: AtomicU64,
-    pub(crate) packets_processed: AtomicU64,
-    pub(crate) batches_run: AtomicU64,
-    pub(crate) busy_rejections: AtomicU64,
-    pub(crate) dropped_samples: AtomicU64,
-    pub(crate) spo2_updates: AtomicU64,
-    pub(crate) plans_built: AtomicU64,
-    /// Deep-prior fits resumed from carried-over weights (warm starts).
-    pub(crate) warm_hits: AtomicU64,
-    /// Deep-prior fits trained from scratch.
-    pub(crate) cold_fits: AtomicU64,
-    /// Nanoseconds since `t0` at which the worker last finished a packet
-    /// (0 = never). Advanced with one relaxed `fetch_max` per packet;
-    /// bounds the *active* window for throughput so idle tails (a
-    /// snapshot long after `shutdown`) don't dilute samples/s.
-    last_activity_nanos: AtomicU64,
-    /// Worst per-session ingestion backlog any push left behind.
-    pub(crate) queue_depth_hwm: HighWatermark,
-    /// Largest packet count one worker wakeup drained.
-    pub(crate) batch_packets_hwm: HighWatermark,
-    /// Largest session count one worker wakeup drained.
-    pub(crate) batch_sessions_hwm: HighWatermark,
-    pub(crate) latency: Mutex<LatencyHistogram>,
-    pub(crate) spo2: Mutex<Spo2Stats>,
-    /// Per-stage span aggregation, fed by the worker's ring drain (empty
-    /// unless `dhf_obs` tracing is enabled).
-    pub(crate) stages: Mutex<StageBreakdown>,
-}
-
-impl ShardCounters {
-    pub(crate) fn new() -> Self {
-        ShardCounters {
-            t0: Instant::now(),
-            samples_in: AtomicU64::new(0),
-            samples_out: AtomicU64::new(0),
-            blocks_emitted: AtomicU64::new(0),
-            packets_processed: AtomicU64::new(0),
-            batches_run: AtomicU64::new(0),
-            busy_rejections: AtomicU64::new(0),
-            dropped_samples: AtomicU64::new(0),
-            spo2_updates: AtomicU64::new(0),
-            plans_built: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            cold_fits: AtomicU64::new(0),
-            last_activity_nanos: AtomicU64::new(0),
-            queue_depth_hwm: HighWatermark::new(),
-            batch_packets_hwm: HighWatermark::new(),
-            batch_sessions_hwm: HighWatermark::new(),
-            latency: Mutex::new(LatencyHistogram::for_serving()),
-            spo2: Mutex::new(Spo2Stats::default()),
-            stages: Mutex::new(StageBreakdown::new()),
-        }
-    }
-
-    /// Marks "work just finished now" for the quiesce-aware throughput
-    /// window. Called by the worker after each processed packet.
-    pub(crate) fn touch(&self) {
-        self.last_activity_nanos.fetch_max(self.t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(
-        &self,
-        shard: usize,
-        open_sessions: usize,
-        queue_depth_samples: usize,
-        elapsed: Duration,
-    ) -> ShardSnapshot {
-        let samples_out = self.samples_out.load(Ordering::Relaxed);
-        let secs = elapsed.as_secs_f64();
-        // The active window ends at the last processed packet, clamped to
-        // the manager's wall clock (the two epochs differ by thread-spawn
-        // microseconds).
-        let active_secs =
-            (self.last_activity_nanos.load(Ordering::Relaxed) as f64 * 1e-9).min(secs);
-        ShardSnapshot {
-            shard,
-            open_sessions,
-            queue_depth_samples,
-            samples_in: self.samples_in.load(Ordering::Relaxed),
-            samples_out,
-            blocks_emitted: self.blocks_emitted.load(Ordering::Relaxed),
-            packets_processed: self.packets_processed.load(Ordering::Relaxed),
-            batches_run: self.batches_run.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            dropped_samples: self.dropped_samples.load(Ordering::Relaxed),
-            spo2_updates: self.spo2_updates.load(Ordering::Relaxed),
-            plans_built: self.plans_built.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            cold_fits: self.cold_fits.load(Ordering::Relaxed),
-            active_secs,
-            samples_per_sec: if active_secs > 0.0 { samples_out as f64 / active_secs } else { 0.0 },
-            queue_depth_hwm: self.queue_depth_hwm.get(),
-            batch_packets_hwm: self.batch_packets_hwm.get(),
-            batch_sessions_hwm: self.batch_sessions_hwm.get(),
-            latency: self.latency.lock().unwrap().clone(),
-            spo2: self.spo2.lock().unwrap().clone(),
-            stages: self.stages.lock().unwrap().clone(),
-        }
-    }
-}
+use dhf_obs::{PromText, StageBreakdown};
+use std::time::Duration;
 
 /// Aggregate statistics over every SpO2 window a shard's oximetry
 /// sessions emitted — the fleet-level trend view (count, range, mean)
@@ -233,8 +128,8 @@ pub struct ShardSnapshot {
     /// SpO2 windows emitted by this shard's oximetry sessions.
     pub spo2_updates: u64,
     /// FFT plans built by this shard's session engines, booked
-    /// incrementally: the delta after every scheduling batch a session
-    /// ran in, plus a residual at close for anything the flush builds.
+    /// incrementally: the delta after every packet a session ran, plus
+    /// a residual at close for anything the flush builds.
     /// A healthy fleet of same-shape sessions keeps this near a small
     /// constant per session: every steady-state chunk reuses the plans
     /// (and the SoA spectrogram workspace) built by its session's first
@@ -281,6 +176,37 @@ pub struct ShardSnapshot {
     pub stages: StageBreakdown,
 }
 
+impl ShardSnapshot {
+    /// A shard that has seen nothing yet: the value each shard's state
+    /// starts from.
+    pub(crate) fn new() -> Self {
+        ShardSnapshot {
+            shard: 0,
+            open_sessions: 0,
+            queue_depth_samples: 0,
+            samples_in: 0,
+            samples_out: 0,
+            blocks_emitted: 0,
+            packets_processed: 0,
+            batches_run: 0,
+            busy_rejections: 0,
+            dropped_samples: 0,
+            spo2_updates: 0,
+            plans_built: 0,
+            warm_hits: 0,
+            cold_fits: 0,
+            active_secs: 0.0,
+            samples_per_sec: 0.0,
+            queue_depth_hwm: 0,
+            batch_packets_hwm: 0,
+            batch_sessions_hwm: 0,
+            latency: LatencyHistogram::for_serving(),
+            spo2: Spo2Stats::default(),
+            stages: StageBreakdown::new(),
+        }
+    }
+}
+
 /// Snapshot of the whole runtime, taken by
 /// [`SessionManager::telemetry`](crate::SessionManager::telemetry).
 #[derive(Debug, Clone, PartialEq)]
@@ -319,7 +245,7 @@ impl Telemetry {
 
     /// Total FFT plans built by session engines across shards — the
     /// fleet-wide plan-cache pressure gauge, live for open sessions
-    /// (booked per scheduling batch, not deferred to session close).
+    /// (booked per processed packet, not deferred to session close).
     pub fn plans_built(&self) -> u64 {
         self.shards.iter().map(|s| s.plans_built).sum()
     }

@@ -176,9 +176,9 @@ proptest! {
 /// sessions through one [`SessionManager`] at once, against a queue that
 /// holds a single packet, so pushes race the workers and many are
 /// refused with `Busy` and retried. A reader thread snapshots and renders
-/// the telemetry throughout. Every session must still match its serial
-/// run, and the fleet counters must account for every sample and every
-/// refusal the clients saw.
+/// the telemetry throughout and checks that no shard's snapshot is torn.
+/// Every session must still match its serial run, and the fleet counters
+/// must account for every sample and every refusal the clients saw.
 #[test]
 fn concurrent_clients_retrying_busy_pushes_match_serial_runs() {
     const CLIENTS: usize = 4;
@@ -207,9 +207,25 @@ fn concurrent_clients_retrying_busy_pushes_match_serial_runs() {
             let (mut last_in, mut last_out, mut last_busy) = (0, 0, 0);
             while !clients_done.load(Ordering::Acquire) {
                 let t = manager.telemetry();
-                // Each counter is a monotone atomic, so successive
-                // snapshots never see it fall.
+                // Each counter only grows, so successive snapshots never
+                // see it fall.
                 assert!(t.samples_in() >= last_in && t.samples_out() >= last_out);
+                // A shard's counters and queue depth are read in one
+                // critical section, so no sample is out, dropped or queued
+                // before it is counted in. Packets drained but not yet
+                // processed are in none of the three: `<=`, not `==`.
+                for s in &t.shards {
+                    assert!(
+                        s.samples_out + s.dropped_samples + s.queue_depth_samples as u64
+                            <= s.samples_in,
+                        "torn snapshot of shard {}: {} out + {} dropped + {} queued > {} in",
+                        s.shard,
+                        s.samples_out,
+                        s.dropped_samples,
+                        s.queue_depth_samples,
+                        s.samples_in
+                    );
+                }
                 assert!(t.busy_rejections() >= last_busy);
                 (last_in, last_out, last_busy) =
                     (t.samples_in(), t.samples_out(), t.busy_rejections());
